@@ -48,23 +48,45 @@ func FPMOf(ms float64) float64 { return ms / MetersPerSecondPerFPM }
 // Knots converts a speed in knots to m/s.
 func Knots(kt float64) float64 { return kt * MetersPerSecondPerKnot }
 
+// twoPi is the float64 nearest 2*pi; every angle reduction is modulo it.
+const twoPi = 2 * math.Pi
+
+// modTwoPi returns math.Mod(a, twoPi) bit for bit. The angles the
+// dynamics produce sit within a step of [0, 2*pi), so |a| < 4*pi takes a
+// branch path instead of math.Mod's loop. It is exact: math.Mod returns
+// the exact remainder, which for |a| < 2*pi is a itself and for
+// 2*pi <= |a| < 4*pi is |a| - twoPi with the sign of a; that difference
+// is exact by Sterbenz's lemma (twoPi <= |a| <= 2*twoPi). Writing the
+// negative case as -(-a - twoPi) reproduces math.Mod's -0 at a = -twoPi.
+func modTwoPi(a float64) float64 {
+	switch {
+	case a > -twoPi && a < twoPi:
+		return a
+	case a >= twoPi && a < 2*twoPi:
+		return a - twoPi
+	case a <= -twoPi && a > -2*twoPi:
+		return -(-a - twoPi)
+	}
+	return math.Mod(a, twoPi)
+}
+
 // WrapAngle reduces an angle to the interval [0, 2*pi).
 func WrapAngle(a float64) float64 {
-	a = math.Mod(a, 2*math.Pi)
+	a = modTwoPi(a)
 	if a < 0 {
-		a += 2 * math.Pi
+		a += twoPi
 	}
 	return a
 }
 
 // WrapSigned reduces an angle to the interval (-pi, pi].
 func WrapSigned(a float64) float64 {
-	a = math.Mod(a, 2*math.Pi)
+	a = modTwoPi(a)
 	switch {
 	case a > math.Pi:
-		a -= 2 * math.Pi
+		a -= twoPi
 	case a <= -math.Pi:
-		a += 2 * math.Pi
+		a += twoPi
 	}
 	return a
 }

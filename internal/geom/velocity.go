@@ -17,9 +17,10 @@ type Velocity struct {
 }
 
 // Vec converts the polar representation to Cartesian components per
-// equation (1). The shared argument reduction of math.Sincos makes this
-// roughly half the cost of separate Cos/Sin calls; Vec sits on the
-// per-step hot path of every encounter simulation.
+// equation (1), with one math.Sincos (a shared argument reduction, about
+// half the cost of separate Cos/Sin calls). The vehicle step does not call
+// it: uav.UAV carries its unit heading and rotates it instead. Vec serves
+// the surveillance reports, decision logics and trajectory consumers.
 func (v Velocity) Vec() Vec3 {
 	sin, cos := math.Sincos(v.Psi)
 	return Vec3{

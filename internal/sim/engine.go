@@ -102,6 +102,14 @@ func AppendSystemsFromPair(dst []System, factory func() (System, System), k int)
 
 // NoSystem is the unequipped baseline: it never commands anything. It is
 // stateless, so one value can equip any number of aircraft.
+//
+// The engine recognizes a NoSystem value and skips the aircraft's whole
+// surveillance half of the decision cycle: no ADS-B observation, fault
+// layer or tracker update runs for it. That is bit-identical to running
+// them, because an aircraft's sensor and fault streams, its links and its
+// track filters are read only by its own decision, and NoSystem's
+// decision is always Decision{}. Any other System, including a wrapper
+// that delegates to NoSystem, surveils as usual.
 type NoSystem struct{}
 
 var (

@@ -194,6 +194,9 @@ type aircraft struct {
 	system AvoidanceSystem
 	// adapter backs Adapt for pairwise systems without allocating per run.
 	adapter pairwiseAdapter
+	// unequipped is set when the equipped System is NoSystem itself: the
+	// aircraft then skips its surveillance (see NoSystem).
+	unequipped bool
 	// lastDecision caches the most recent decision for coordination.
 	lastDecision Decision
 	alerts       int
@@ -251,6 +254,7 @@ func (a *aircraft) reset(system System, initial uav.State) {
 		a.adapter.sys = system
 		a.system = &a.adapter
 	}
+	_, a.unequipped = system.(NoSystem)
 	system.Reset()
 	a.lastDecision = Decision{}
 	a.alerts = 0
@@ -776,10 +780,14 @@ func (r *Runner) decideOwnship(now float64) {
 // ownSurveil runs the ownship half of a decision cycle up to (but not
 // including) the system query: surveil every intruder from the ownship's
 // sensor stream and derive the coordination constraint. An empty track
-// slice means no decision runs this cycle. The returned slice aliases the
+// slice means no decision runs this cycle, as for an unequipped ownship,
+// which surveils nothing (see NoSystem). The returned slice aliases the
 // runner's track scratch and is valid until the next surveillance.
 func (r *Runner) ownSurveil(now float64) ([]geom.Track, Constraint) {
 	a := r.fleet[0]
+	if a.unequipped {
+		return nil, Constraint{}
+	}
 	sensorRNG := r.sensorR[0]
 	tracks := r.trackBuf[:0]
 	for j := 1; j <= r.k; j++ {
@@ -835,9 +843,13 @@ func (r *Runner) decideIntruder(now float64, j int) {
 // system query: one surveillance observation of the ownship from the
 // intruder's own sensor stream, and the coordination constraint from the
 // ownship's current claimed sense. ok is false when no usable track exists
-// this cycle (no decision runs).
+// this cycle (no decision runs), and always for an unequipped intruder
+// (see NoSystem).
 func (r *Runner) intruderSurveil(now float64, j int) (tr geom.Track, c Constraint, ok bool) {
 	a := r.fleet[j]
+	if a.unequipped {
+		return geom.Track{}, Constraint{}, false
+	}
 	pos, vel, ok := r.surveil(a, 0, r.fleet[0], now, r.sensorR[j], r.fltR[j])
 	if !ok {
 		return geom.Track{}, Constraint{}, false

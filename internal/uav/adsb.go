@@ -76,11 +76,13 @@ func (m SensorModel) Observe(st State, now float64, rng *rand.Rand) ADSBReport {
 		rep.Valid = false
 		return rep
 	}
-	rep.Pos.X += m.HorizontalPosSigma * rng.NormFloat64()
-	rep.Pos.Y += m.HorizontalPosSigma * rng.NormFloat64()
-	rep.Pos.Z += m.VerticalPosSigma * rng.NormFloat64()
-	rep.Vel.X += m.VelSigma * rng.NormFloat64()
-	rep.Vel.Y += m.VelSigma * rng.NormFloat64()
-	rep.Vel.Z += m.VelSigma * rng.NormFloat64()
+	// The explicit float64(...) roundings keep each noise term from being
+	// fused into an FMA, so reports carry the same bits on every GOARCH.
+	rep.Pos.X += float64(m.HorizontalPosSigma * rng.NormFloat64())
+	rep.Pos.Y += float64(m.HorizontalPosSigma * rng.NormFloat64())
+	rep.Pos.Z += float64(m.VerticalPosSigma * rng.NormFloat64())
+	rep.Vel.X += float64(m.VelSigma * rng.NormFloat64())
+	rep.Vel.Y += float64(m.VelSigma * rng.NormFloat64())
+	rep.Vel.Z += float64(m.VelSigma * rng.NormFloat64())
 	return rep
 }

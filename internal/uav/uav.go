@@ -119,6 +119,11 @@ type UAV struct {
 	st   State
 	plan geom.Velocity // the flight-plan velocity flown when no command is active
 
+	// hdgCos/hdgSin are the unit heading (cos, sin) of st.Vel.Psi. Step
+	// turns the vector by each step's heading increment instead of
+	// evaluating math.Sincos; Reset re-derives it exactly.
+	hdgCos, hdgSin float64
+
 	cmd       Command
 	hasCmd    bool
 	delayLeft float64
@@ -155,6 +160,7 @@ func (u *UAV) Init(cfg Config, initial State) error {
 func (u *UAV) Reset(initial State) {
 	u.st = initial
 	u.plan = initial.Vel
+	u.hdgSin, u.hdgCos = math.Sincos(initial.Vel.Psi)
 	u.cmd = Command{}
 	u.hasCmd = false
 	u.delayLeft = 0
@@ -225,6 +231,38 @@ func (u *UAV) headingStep(dt float64) float64 {
 	return geom.Clamp(diff, -u.cfg.TurnRate*dt, u.cfg.TurnRate*dt)
 }
 
+// rotateMax bounds the heading increments turnHeading applies by rotation.
+// Below it the Taylor polynomials of sin and cos-1 are truncated after
+// terms whose successors stay under 1e-19 (|d|^9/9! and |d|^8/8!), far
+// below one rounding of the unit vector. At the engine's dt = 0.1 a
+// standard-rate turn is 0.0052 rad per step and one sigma of the default
+// heading noise 0.0013 rad, so the math.Sincos fallback is rare; a dt = 1
+// standard-rate turn (0.052 rad) takes it.
+const rotateMax = 1.0 / 64
+
+// turnHeading advances the unit heading by the increment d, whose wrapped
+// result is psi. Small increments rotate the vector:
+//
+//	(c, s) += (c*(cos d - 1) - s*sin d, s*(cos d - 1) + c*sin d)
+//
+// Each product is rounded explicitly with float64(...) so that no
+// platform fuses it into an FMA and the bits are the same on every GOARCH.
+// Larger increments re-derive the vector from psi.
+func (u *UAV) turnHeading(d, psi float64) {
+	if math.Abs(d) >= rotateMax {
+		u.hdgSin, u.hdgCos = math.Sincos(psi)
+		return
+	}
+	d2 := float64(d * d)
+	// sin d = d - d*(d^2/3! - d^4/5! + d^6/7!)
+	sn := d - float64(d*float64(d2*(1.0/6-float64(d2*(1.0/120-float64(d2*(1.0/5040)))))))
+	// cos d - 1 = -d^2*(1/2! - d^2/4! + d^4/6!)
+	cm1 := -float64(d2 * (0.5 - float64(d2*(1.0/24-float64(d2*(1.0/720))))))
+	c, s := u.hdgCos, u.hdgSin
+	u.hdgCos = c + (float64(c*cm1) - float64(s*sn))
+	u.hdgSin = s + (float64(s*cm1) + float64(c*sn))
+}
+
 // Step advances the aircraft by dt seconds, applying command capture
 // dynamics and sampling the white-noise disturbance from rng. A nil rng
 // disables disturbance (deterministic flight).
@@ -249,17 +287,34 @@ func (u *UAV) Step(dt float64, rng *rand.Rand) {
 	if rng != nil {
 		// White-noise (Brownian) disturbance: increments scale with
 		// sqrt(dt) so the accumulated variance over a fixed wall-clock
-		// interval does not depend on the integration step size.
+		// interval does not depend on the integration step size. A
+		// draw is taken even when its coefficient is zero: skipping it
+		// would shift every later draw of the stream, so a config with
+		// some (not all) coefficients zero would fly a different
+		// trajectory.
 		sqrtDt := math.Sqrt(dt)
-		vs += u.cfg.VerticalNoise * rng.NormFloat64() * sqrtDt
-		gs += u.cfg.SpeedNoise * rng.NormFloat64() * sqrtDt
-		psi += u.cfg.HeadingNoise * rng.NormFloat64() * sqrtDt
+		vs += float64(u.cfg.VerticalNoise * rng.NormFloat64() * sqrtDt)
+		gs += float64(u.cfg.SpeedNoise * rng.NormFloat64() * sqrtDt)
+		psi += float64(u.cfg.HeadingNoise * rng.NormFloat64() * sqrtDt)
 	}
 	vs = geom.Clamp(vs, -u.cfg.MaxVerticalRate, u.cfg.MaxVerticalRate)
 	if gs < 0 {
 		gs = 0
 	}
 
-	u.st.Vel = geom.Velocity{Gs: gs, Psi: geom.WrapAngle(psi), Vs: vs}
-	u.st.Pos = u.st.Pos.Add(u.st.Vel.Vec().Scale(dt))
+	// Turn the heading vector by the increment of the rounded bearing
+	// (exact by Sterbenz's lemma away from psi ~ 0), not by the sum of the
+	// turn and noise terms: the vector then follows the canonical bearing
+	// instead of drifting from it by the bearing's own roundings.
+	dpsi := psi - u.st.Vel.Psi
+	psi = geom.WrapAngle(psi)
+	if dpsi != 0 {
+		u.turnHeading(dpsi, psi)
+	}
+	u.st.Vel = geom.Velocity{Gs: gs, Psi: psi, Vs: vs}
+	// Equation (1) on the carried heading vector; the explicit roundings
+	// keep the update FMA-free like turnHeading.
+	u.st.Pos.X += float64(gs * u.hdgCos * dt)
+	u.st.Pos.Y += float64(gs * u.hdgSin * dt)
+	u.st.Pos.Z += float64(vs * dt)
 }

@@ -309,6 +309,7 @@ func TestObserveDropRate(t *testing.T) {
 	}
 }
 
+// BenchmarkStep times one noisy step at the engine's dt = 0.1.
 func BenchmarkStep(b *testing.B) {
 	u, err := New(DefaultConfig(), State{Vel: geom.Velocity{Gs: 50}})
 	if err != nil {
@@ -317,6 +318,6 @@ func BenchmarkStep(b *testing.B) {
 	rng := stats.NewRNG(1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		u.Step(1, rng)
+		u.Step(0.1, rng)
 	}
 }
