@@ -2,6 +2,9 @@ package acasx
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"math"
 	"sync"
 	"testing"
@@ -459,6 +462,63 @@ func TestSerializationRejectsCorruption(t *testing.T) {
 	// Empty.
 	if _, err := ReadTable(bytes.NewReader(nil)); err == nil {
 		t.Error("empty file accepted")
+	}
+}
+
+// flaggedTable builds the tiny table and serializes it with its config
+// flag byte replaced by flags and the trailing CRC recomputed, so the only
+// difference ReadTable sees is the flag value itself.
+func flaggedTable(t *testing.T, flags uint8) (*Table, []byte) {
+	t.Helper()
+	table, err := BuildTable(tinyConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := table.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.Bytes()
+	var cfg Config
+	off := 4 + 4 + 8*(len(configFields(&cfg))+len(configInts(&cfg)))
+	if out[off] != 0 {
+		t.Fatalf("flag byte at offset %d is %#x; the header layout moved", off, out[off])
+	}
+	out[off] = flags
+	binary.LittleEndian.PutUint32(out[len(out)-4:], crc32.ChecksumIEEE(out[:len(out)-4]))
+	return table, out
+}
+
+// TestReadTableIgnoresLegacyQuantizedFlag: tables written with flag bit 2
+// (the removed int16 backend's marker) carry the exact slices, so they
+// must load with bit-identical Q values.
+func TestReadTableIgnoresLegacyQuantizedFlag(t *testing.T) {
+	table, file := flaggedTable(t, flagLegacyInt16)
+	loaded, err := ReadTable(bytes.NewReader(file))
+	if err != nil {
+		t.Fatalf("legacy quantized flag rejected: %v", err)
+	}
+	if loaded.Config().UseVerticalTau {
+		t.Fatal("legacy quantized flag set UseVerticalTau")
+	}
+	if len(loaded.q) != len(table.q) {
+		t.Fatalf("%d slices, want %d", len(loaded.q), len(table.q))
+	}
+	for k := range table.q {
+		for i := range table.q[k] {
+			if math.Float64bits(loaded.q[k][i]) != math.Float64bits(table.q[k][i]) {
+				t.Fatalf("slice %d entry %d: %v != %v", k, i, loaded.q[k][i], table.q[k][i])
+			}
+		}
+	}
+}
+
+// TestReadTableRejectsUnknownFlag: any flag bit other than the vertical-tau
+// and legacy quantized bits is a file this reader does not understand.
+func TestReadTableRejectsUnknownFlag(t *testing.T) {
+	_, file := flaggedTable(t, 4)
+	if _, err := ReadTable(bytes.NewReader(file)); !errors.Is(err, ErrBadTable) {
+		t.Fatalf("flag bit 4: err %v, want ErrBadTable", err)
 	}
 }
 

@@ -23,7 +23,7 @@ func randomStates(table *Table, n int, seed uint64) []struct{ tau, h, dh0, dh1 f
 }
 
 // TestSharedWeightLookupGolden is the golden equivalence test for the
-// shared-weight lookup: AllQValues, BestAdvisoryFast and Value must agree
+// shared-weight lookup: AllQValues, BestAdvisory and Value must agree
 // bit for bit with the per-action QValue reference path across a seeded
 // random state sample, for every advisory state and mask.
 func TestSharedWeightLookupGolden(t *testing.T) {
@@ -63,9 +63,9 @@ func TestSharedWeightLookupGolden(t *testing.T) {
 						wantQ, wantBest, wantFound = ref, a, true
 					}
 				}
-				gotBest, gotFound := table.BestAdvisoryFast(s.tau, s.h, s.dh0, s.dh1, Advisory(ra), mask)
+				gotBest, gotFound := table.BestAdvisory(s.tau, s.h, s.dh0, s.dh1, Advisory(ra), mask)
 				if gotBest != wantBest || gotFound != wantFound {
-					t.Fatalf("state %+v ra=%d mask=%+v: fast (%v,%v) != reference (%v,%v)",
+					t.Fatalf("state %+v ra=%d mask=%+v: BestAdvisory (%v,%v) != reference (%v,%v)",
 						s, ra, mask, gotBest, gotFound, wantBest, wantFound)
 				}
 			}
@@ -84,8 +84,8 @@ func TestAllQValuesInvalidAdvisoryState(t *testing.T) {
 			t.Fatalf("a=%d: got %v, want -Inf", a, v)
 		}
 	}
-	if _, ok := table.BestAdvisoryFast(10, 0, 0, 0, Advisory(99), SenseMask{}); ok {
-		t.Fatal("BestAdvisoryFast accepted an invalid advisory state")
+	if _, ok := table.BestAdvisory(10, 0, 0, 0, Advisory(99), SenseMask{}); ok {
+		t.Fatal("BestAdvisory accepted an invalid advisory state")
 	}
 }
 
@@ -177,10 +177,10 @@ func TestLookupHotPathZeroAlloc(t *testing.T) {
 	table := getCoarseTable(t)
 	var sink Advisory
 	allocs := testing.AllocsPerRun(200, func() {
-		sink, _ = table.BestAdvisoryFast(12.5, 30, 1.5, -2.5, COC, SenseMask{})
+		sink, _ = table.BestAdvisory(12.5, 30, 1.5, -2.5, COC, SenseMask{})
 	})
 	if allocs != 0 {
-		t.Fatalf("BestAdvisoryFast allocated %v times per run", allocs)
+		t.Fatalf("BestAdvisory allocated %v times per run", allocs)
 	}
 	var q [NumAdvisories]float64
 	allocs = testing.AllocsPerRun(200, func() {

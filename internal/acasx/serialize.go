@@ -13,9 +13,9 @@ import (
 
 // Binary logic-table format:
 //
-//	magic "ACXT" | version u32 | config (13 float64/int64 fields) |
-//	horizon u32 | per-slice length u32 | Q data float64 LE | crc32 of all
-//	preceding bytes
+//	magic "ACXT" | version u32 | config (15 float64 + 3 int64 fields) |
+//	flags u8 | horizon u32 | per-slice length u32 | Q data float64 LE |
+//	crc32 of all preceding bytes
 //
 // The CRC guards against the truncated/corrupt table files a deployed
 // system must reject.
@@ -23,6 +23,16 @@ import (
 const (
 	tableMagic   = "ACXT"
 	tableVersion = 1
+)
+
+// Config flag bits. flagLegacyInt16 marked tables written for a
+// since-removed int16 lookup backend that was derived from the exact
+// slices on load; the payload is the same exact slices, so readers accept
+// the bit and ignore it. The writer never sets it.
+const (
+	flagVerticalTau uint8 = 1
+	flagLegacyInt16 uint8 = 2
+	knownFlags            = flagVerticalTau | flagLegacyInt16
 )
 
 // ErrBadTable is wrapped by all deserialization failures.
@@ -100,15 +110,7 @@ func (t *Table) WriteTo(w io.Writer) (int64, error) {
 	}
 	var flags uint8
 	if cfg.UseVerticalTau {
-		flags |= 1
-	}
-	// The quantized backend is a pure function of the exact slices, so the
-	// file stores only the exact payload plus this marker; ReadTable
-	// re-derives the int16 codes, which round-trips the backend
-	// losslessly (and keeps the format readable by older parsers modulo
-	// the flag bit).
-	if cfg.Quantized {
-		flags |= 2
+		flags |= flagVerticalTau
 	}
 	if err := put(flags); err != nil {
 		return written, err
@@ -183,8 +185,10 @@ func ReadTable(r io.Reader) (*Table, error) {
 	if err := binary.Read(cr, binary.LittleEndian, &flags); err != nil {
 		return nil, fmt.Errorf("%w: reading flags: %v", ErrBadTable, err)
 	}
-	cfg.UseVerticalTau = flags&1 != 0
-	cfg.Quantized = flags&2 != 0
+	if flags&^knownFlags != 0 {
+		return nil, fmt.Errorf("%w: unknown flag bits %#x", ErrBadTable, flags&^knownFlags)
+	}
+	cfg.UseVerticalTau = flags&flagVerticalTau != 0
 	var slices, sliceLen uint32
 	if err := binary.Read(cr, binary.LittleEndian, &slices); err != nil {
 		return nil, fmt.Errorf("%w: reading slice count: %v", ErrBadTable, err)

@@ -5,7 +5,6 @@ import (
 	"math"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"acasxval/internal/interp"
@@ -23,15 +22,6 @@ type Table struct {
 	// grid spans (h, dh0, dh1); kept for online interpolation.
 	grid     *interp.Grid
 	contSize int
-	// Quantized backend (nil when disabled): per-slice affine-coded int16
-	// Q values in vertex-major, advisory-contiguous, tau-interleaved
-	// order, with the per-slice codec and error bound alongside. See
-	// quantized.go.
-	qz           []int16
-	qscale, qoff []float64
-	qerr         []float64
-	// fallbacks counts margin-gate fallbacks to the exact slices.
-	fallbacks atomic.Uint64
 	// stats
 	buildTime  time.Duration
 	sweepCount int
@@ -97,11 +87,6 @@ func BuildTable(cfg Config) (*Table, error) {
 		t.sweepCount++
 	}
 	t.buildTime = time.Since(start)
-	if cfg.Quantized {
-		if err := t.Quantize(); err != nil {
-			return nil, err
-		}
-	}
 	return t, nil
 }
 
@@ -239,7 +224,7 @@ func (t *Table) clampTau(tau float64) (lo int, frac float64) {
 //
 // This is the per-action reference path: one query computes the vertex
 // weights and reads a single (ra, a) pair. Scans over the whole action set
-// should use AllQValues/BestAdvisoryFast, which share one weight
+// should use AllQValues/BestAdvisory, which share one weight
 // computation across every advisory and both bracketing slices; the golden
 // equivalence test asserts both paths agree bit for bit.
 func (t *Table) QValue(tau, h, dh0, dh1 float64, ra, a Advisory) float64 {
@@ -289,54 +274,30 @@ func (t *Table) AllQValues(dst *[NumAdvisories]float64, tau, h, dh0, dh1 float64
 	pt := [3]float64{h, dh0, dh1}
 	ws, _ := t.grid.WeightsAppend(buf[:0], pt[:])
 	lo, frac := t.clampTau(tau)
-	t.gatherExact(dst, ws, lo, frac, ra)
-}
-
-// AllQValuesFast fills dst like AllQValues but serves the query from the
-// quantized int16 backend when one is installed, returning the worst-case
-// absolute error of the returned values versus the exact path (0 on the
-// exact path). Callers deciding an advisory from quantized values must
-// apply the margin gate (bestAllowedGated or the fused gate in
-// multiCycle) so the argmax stays identical to the exact path.
-func (t *Table) AllQValuesFast(dst *[NumAdvisories]float64, tau, h, dh0, dh1 float64, ra Advisory) float64 {
-	if t.qz == nil {
-		t.AllQValues(dst, tau, h, dh0, dh1, ra)
-		return 0
+	raOff := int(ra) * t.contSize
+	stateSize := t.stateSize()
+	qlo := t.q[lo]
+	for a := 0; a < NumAdvisories; a++ {
+		dst[a] = dotGather(ws, qlo, a*stateSize+raOff)
 	}
-	if !ra.Valid() {
-		for a := range dst {
-			dst[a] = math.Inf(-1)
+	if frac > 0 && lo+1 <= t.Horizon() {
+		qhi := t.q[lo+1]
+		for a := 0; a < NumAdvisories; a++ {
+			dst[a] = dst[a]*(1-frac) + frac*dotGather(ws, qhi, a*stateSize+raOff)
 		}
-		return 0
 	}
-	var buf [16]interp.VertexWeight
-	pt := [3]float64{h, dh0, dh1}
-	ws, _ := t.grid.WeightsAppend(buf[:0], pt[:])
-	lo, frac := t.clampTau(tau)
-	return t.gatherQuant(dst, ws, lo, frac, ra)
-}
-
-// BestAdvisoryFast returns the advisory maximizing the interpolated Q value
-// at the given state, considering only advisories allowed by the mask. It
-// is the allocation-free shared-weight scan the online executive uses on
-// every decision cycle; BestAdvisory delegates here. The boolean is false
-// when the mask bans every action (cannot happen with a default mask, which
-// always allows COC) or ra is invalid. On a quantized table the scan is
-// served from the int16 backend under the margin gate, so the returned
-// advisory is identical to the exact path's in every case.
-func (t *Table) BestAdvisoryFast(tau, h, dh0, dh1 float64, ra Advisory, mask SenseMask) (Advisory, bool) {
-	var q [NumAdvisories]float64
-	bound := t.AllQValuesFast(&q, tau, h, dh0, dh1, ra)
-	if bound == 0 {
-		return bestAllowed(&q, mask)
-	}
-	return t.bestAllowedGated(&q, bound, mask, tau, h, dh0, dh1, ra)
 }
 
 // BestAdvisory returns the advisory maximizing the interpolated Q value at
-// the given state, considering only advisories allowed by the mask.
+// the given state, considering only advisories allowed by the mask. It is
+// the allocation-free shared-weight scan the online executive uses on
+// every decision cycle. The boolean is false when the mask bans every
+// action (cannot happen with a default mask, which always allows COC) or
+// ra is invalid.
 func (t *Table) BestAdvisory(tau, h, dh0, dh1 float64, ra Advisory, mask SenseMask) (Advisory, bool) {
-	return t.BestAdvisoryFast(tau, h, dh0, dh1, ra, mask)
+	var q [NumAdvisories]float64
+	t.AllQValues(&q, tau, h, dh0, dh1, ra)
+	return bestAllowed(&q, mask)
 }
 
 // Value returns max_a Q at the state (the optimal state value).
@@ -369,11 +330,5 @@ func (t *Table) validateLoaded() error {
 	}
 	t.grid = m.grid
 	t.contSize = m.contSize
-	if t.cfg.Quantized && t.qz == nil {
-		// The file stores the exact slices; the int16 backend is a pure
-		// function of them, so re-deriving it here round-trips the
-		// quantized table losslessly.
-		return t.Quantize()
-	}
 	return nil
 }

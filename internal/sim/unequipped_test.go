@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -10,6 +11,54 @@ import (
 	"acasxval/internal/geom"
 	"acasxval/internal/uav"
 )
+
+// requireSameResult fails unless two episode results are bit-identical.
+func requireSameResult(t *testing.T, label string, got, want Result) {
+	t.Helper()
+	f64 := math.Float64bits
+	if got.NMAC != want.NMAC || f64(got.NMACTime) != f64(want.NMACTime) ||
+		f64(got.MinSeparation) != f64(want.MinSeparation) ||
+		f64(got.MinSeparationAt) != f64(want.MinSeparationAt) ||
+		f64(got.MinHorizontal) != f64(want.MinHorizontal) ||
+		f64(got.MinVertical) != f64(want.MinVertical) ||
+		f64(got.OwnAlertTime) != f64(want.OwnAlertTime) ||
+		f64(got.Duration) != f64(want.Duration) {
+		t.Fatalf("%s: result drifted:\n got %+v\nwant %+v", label, got, want)
+	}
+	if len(got.AlertCounts) != len(want.AlertCounts) {
+		t.Fatalf("%s: alert counts %v != %v", label, got.AlertCounts, want.AlertCounts)
+	}
+	for i := range got.AlertCounts {
+		if got.AlertCounts[i] != want.AlertCounts[i] {
+			t.Fatalf("%s: alert counts %v != %v", label, got.AlertCounts, want.AlertCounts)
+		}
+	}
+}
+
+// presetEpisode is one fixture episode: an encounter and its seed.
+type presetEpisode struct {
+	m    encounter.MultiParams
+	seed uint64
+}
+
+// presetEpisodes is the bit-identity test fixture: every pairwise preset
+// plus the multi-intruder presets, each with its own seed.
+func presetEpisodes(t *testing.T) []presetEpisode {
+	t.Helper()
+	var eps []presetEpisode
+	for i, name := range encounter.PresetNames() {
+		p, err := encounter.Preset(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eps = append(eps, presetEpisode{p.Multi(), uint64(100 + i)})
+	}
+	return append(eps,
+		presetEpisode{encounter.MultiPresetSandwich(), 7},
+		presetEpisode{encounter.MultiPresetConvergingPair(), 5},
+		presetEpisode{encounter.MultiPresetCrossingStream(), 1234},
+	)
+}
 
 // passNone delegates every call to NoSystem without being NoSystem, so
 // the engine runs the full surveillance half of its decision cycle.
@@ -36,9 +85,8 @@ func (p *probe) Reset() { p.alerted = false }
 // TestUnequippedSkipIdentity: skipping the surveillance of NoSystem
 // aircraft must not move a bit. Every preset episode is flown with bare
 // NoSystem and with the pass-through wrapper in each unequipped slot,
-// under faults none/severe and tracker on/off, solo and through the
-// lockstep Batch; results (and the recorded trajectory, solo) must be
-// identical.
+// under faults none/severe and tracker on/off; results and the recorded
+// trajectory must be identical.
 func TestUnequippedSkipIdentity(t *testing.T) {
 	severe, err := fault.Preset("severe")
 	if err != nil {
@@ -69,7 +117,7 @@ func TestUnequippedSkipIdentity(t *testing.T) {
 		}
 		return sys
 	}
-	eps := batchEpisodes(t)
+	eps := presetEpisodes(t)
 	for _, fp := range []struct {
 		name string
 		p    fault.Profile
@@ -89,7 +137,6 @@ func TestUnequippedSkipIdentity(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want := make([]Result, len(eps))
 				ownAlerts, intrAlerts := 0, 0
 				for i, ep := range eps {
 					k := ep.m.NumIntruders()
@@ -101,15 +148,12 @@ func TestUnequippedSkipIdentity(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					requireSameResult(t, label+"/solo", g, w)
+					requireSameResult(t, label, g, w)
 					if !reflect.DeepEqual(g.Trajectory, w.Trajectory) {
-						t.Fatalf("%s/solo episode %d: trajectory drifted", label, i)
+						t.Fatalf("%s episode %d: trajectory drifted", label, i)
 					}
 					ownAlerts += w.OwnAlerts()
 					intrAlerts += w.IntruderAlerts()
-					w.AlertCounts = append([]int(nil), w.AlertCounts...)
-					w.Trajectory = nil
-					want[i] = w
 				}
 				// The equipped slots must still see their peers: a skip
 				// that silenced them would pass the identity checks.
@@ -117,22 +161,6 @@ func TestUnequippedSkipIdentity(t *testing.T) {
 					t.Fatalf("%s: %d ownship and %d intruder alerts", label, ownAlerts, intrAlerts)
 				}
 
-				bcfg := cfg
-				bcfg.RecordTrajectory = false
-				b, err := NewBatch(bcfg, 3)
-				if err != nil {
-					t.Fatal(err)
-				}
-				b.RunMulti(len(eps),
-					func(i, _ int) (encounter.MultiParams, []System, uint64, error) {
-						return eps[i].m, build(eps[i].m.NumIntruders(), pat.own, pat.intr, NoSystem{}), eps[i].seed, nil
-					},
-					func(i int, res Result, err error) {
-						if err != nil {
-							t.Fatalf("%s/batch episode %d: %v", label, i, err)
-						}
-						requireSameResult(t, label+"/batch", res, want[i])
-					})
 			}
 		}
 	}
