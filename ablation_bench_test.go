@@ -7,11 +7,12 @@ package acasxval
 // `go test -bench=Ablation` prints a compact ablation table.
 
 import (
+	"context"
 	"testing"
 
 	"acasxval/internal/core"
-	"acasxval/internal/encounter"
 	"acasxval/internal/ga"
+	"acasxval/internal/search"
 	"acasxval/internal/sim"
 	"acasxval/internal/stats"
 	"acasxval/internal/uav"
@@ -151,18 +152,15 @@ func BenchmarkAblationGAOperators(b *testing.B) {
 		return NewACASXU(table), NewACASXU(table)
 	}
 	run := func(op ga.CrossoverOp, seed uint64) float64 {
-		cfg := DefaultSearchConfig()
-		cfg.GA.PopulationSize = 16
-		cfg.GA.Generations = 3
-		cfg.GA.Crossover = op
-		cfg.GA.Seed = seed
-		cfg.GA.RecordEvaluations = false
-		cfg.Fitness.SimsPerEncounter = 6
-		res, err := Search(cfg, factory, 1, nil)
+		spec := gaSpec(16, 3, 6)
+		spec.GA.Crossover = op
+		spec.Seed = seed
+		res, err := RunSearch(spec, factory, SearchOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		return res.PerGeneration[len(res.PerGeneration)-1].Mean
+		history := res.Islands[0]
+		return history[len(history)-1].Mean
 	}
 	var onePoint, uniform, blend float64
 	for i := 0; i < b.N; i++ {
@@ -244,19 +242,15 @@ func BenchmarkAblationFitnessSims(b *testing.B) {
 	factory := func() (sim.System, sim.System) {
 		return NewACASXU(table), NewACASXU(table)
 	}
-	p := PresetTailApproach()
+	p := PresetTailApproach().Multi()
 	measure := func(k int, seed uint64) float64 {
-		cfg := DefaultSearchConfig().Fitness
+		cfg := core.DefaultFitnessConfig()
 		cfg.SimsPerEncounter = k
-		ev, err := core.NewEvaluator(encounter.DefaultRanges(), factory, cfg)
+		fitness, _, err := search.EvaluateEncounter(context.Background(), p, seed, cfg, factory, 0, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		out, err := ev.EvaluateEncounter(p, seed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return out.Fitness
+		return fitness
 	}
 	// Spread of the fitness estimate across seeds for K=5 vs K=50.
 	var sd5, sd50 float64

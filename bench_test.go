@@ -19,15 +19,15 @@ package acasxval
 // numbers alongside the timings.
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
 
 	"acasxval/internal/core"
-	"acasxval/internal/encounter"
-	"acasxval/internal/ga"
 	"acasxval/internal/grid2d"
 	"acasxval/internal/montecarlo"
+	"acasxval/internal/search"
 	"acasxval/internal/sim"
 	"acasxval/internal/stats"
 )
@@ -83,6 +83,17 @@ func BenchmarkFig5HeadOn(b *testing.B) {
 	b.ReportMetric(sep.Mean(), "mean-min-sep-m")
 }
 
+// gaSpec is the single-island (the paper's single-population) GA search
+// at benchmark scale.
+func gaSpec(pop, gens, sims int) SearchSpec {
+	spec := DefaultSearchSpec()
+	spec.Islands = 1
+	spec.GA.PopulationSize = pop
+	spec.GA.Generations = gens
+	spec.Fitness.SimsPerEncounter = sims
+	return spec
+}
+
 // BenchmarkFig6GASearch (E2, scaled) runs the GA-based search at reduced
 // scale and reports the fitness climb between the first and last
 // generation — the upward trend Fig. 6 plots. The full paper-scale run
@@ -93,21 +104,19 @@ func BenchmarkFig6GASearch(b *testing.B) {
 	factory := func() (sim.System, sim.System) {
 		return NewACASXU(table), NewACASXU(table)
 	}
-	cfg := DefaultSearchConfig()
-	cfg.GA.PopulationSize = 20
-	cfg.GA.Generations = 3
-	cfg.Fitness.SimsPerEncounter = 10
+	spec := gaSpec(20, 3, 10)
 	var firstMean, lastMean, best float64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cfg.GA.Seed = uint64(i + 1)
-		res, err := Search(cfg, factory, 3, nil)
+		spec.Seed = uint64(i + 1)
+		res, err := RunSearch(spec, factory, SearchOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		firstMean = res.PerGeneration[0].Mean
-		lastMean = res.PerGeneration[len(res.PerGeneration)-1].Mean
+		history := res.Islands[0]
+		firstMean = history[0].Mean
+		lastMean = history[len(history)-1].Mean
 		best = res.Best.Fitness
 	}
 	b.ReportMetric(firstMean, "gen0-mean-fitness")
@@ -125,23 +134,19 @@ func BenchmarkFig7Fig8TailApproach(b *testing.B) {
 	}
 	fit := core.DefaultFitnessConfig()
 	fit.SimsPerEncounter = 100
-	ev, err := core.NewEvaluator(encounter.DefaultRanges(), factory, fit)
-	if err != nil {
-		b.Fatal(err)
-	}
 	var tailRate, headRate float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tail, err := ev.EvaluateEncounter(PresetTailApproach(), uint64(i+1))
+		_, tail, err := search.EvaluateEncounter(context.Background(), PresetTailApproach().Multi(), uint64(i+1), fit, factory, 0, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		head, err := ev.EvaluateEncounter(PresetHeadOn(), uint64(i+1))
+		_, head, err := search.EvaluateEncounter(context.Background(), PresetHeadOn().Multi(), uint64(i+1), fit, factory, 0, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		tailRate = tail.NMACRate()
-		headRate = head.NMACRate()
+		tailRate = tail.PNMAC
+		headRate = head.PNMAC
 	}
 	b.ReportMetric(tailRate*100, "tail-NMACs-per-100")
 	b.ReportMetric(headRate*100, "headon-NMACs-per-100")
@@ -190,45 +195,33 @@ func BenchmarkValueIterationFullTable(b *testing.B) {
 }
 
 // BenchmarkGAVersusRandomSearch (E7) compares, at equal evaluation budget,
-// the best fitness found by the GA and by uniform random search (the
-// comparison of the authors' earlier SOSP/SAFECOMP study, reference [7]).
+// the number of collision cases (fitness >= 9000) found by the GA and by
+// uniform random search (the comparison of the authors' earlier
+// SOSP/SAFECOMP study, reference [7]). The random arm is the GA's spec run
+// for one generation of as many individuals as the GA evaluated.
 func BenchmarkGAVersusRandomSearch(b *testing.B) {
 	table := benchLogicTable(b)
 	factory := func() (sim.System, sim.System) {
 		return NewACASXU(table), NewACASXU(table)
 	}
-	cfg := DefaultSearchConfig()
-	cfg.GA.PopulationSize = 15
-	cfg.GA.Generations = 4
-	cfg.Fitness.SimsPerEncounter = 8
-	budget := cfg.GA.PopulationSize * cfg.GA.Generations
-	var gaHits, rndHits stats.Accumulator
-	const threshold = 9000
-	countAbove := func(evals []ga.Evaluation) int {
-		n := 0
-		for _, e := range evals {
-			if e.Fitness >= threshold {
-				n++
-			}
-		}
-		return n
-	}
+	spec := gaSpec(15, 4, 8)
+	cmp := core.ComparisonResult{Threshold: 9000}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cfg.GA.Seed = uint64(i + 1)
-		gaRes, err := Search(cfg, factory, 1, nil)
+		spec.Seed = uint64(i + 1)
+		var gaLog, rndLog []Evaluation
+		gaRes, err := RunSearch(spec, factory, SearchOptions{Observer: LogSearchEvaluations(&gaLog)})
 		if err != nil {
 			b.Fatal(err)
 		}
-		rndRes, err := RandomSearch(cfg, factory, budget, true)
-		if err != nil {
+		baseline := spec.RandomBaseline(gaRes.NumEvaluations)
+		if _, err := RunSearch(baseline, factory, SearchOptions{Observer: LogSearchEvaluations(&rndLog)}); err != nil {
 			b.Fatal(err)
 		}
-		gaHits.Add(float64(countAbove(gaRes.Evaluations)))
-		rndHits.Add(float64(countAbove(rndRes.Evaluations)))
+		cmp.Add(gaLog, rndLog)
 	}
-	b.ReportMetric(gaHits.Mean(), "ga-cases-per-budget")
-	b.ReportMetric(rndHits.Mean(), "random-cases-per-budget")
+	b.ReportMetric(stats.Mean(cmp.GAHits), "ga-cases-per-budget")
+	b.ReportMetric(stats.Mean(cmp.RandomHits), "random-cases-per-budget")
 }
 
 // BenchmarkMonteCarloRiskRatio (E8) estimates the NMAC risk ratio of the

@@ -8,7 +8,10 @@
 // (convergepair, crossstream, sandwich). -intruders K fans a pairwise
 // geometry into K copies rotated evenly around the ownship — a quick way
 // to stress the multi-threat fusion with any classic preset. -genome takes
-// K*9 comma-separated values for an explicit K-intruder encounter.
+// K*9 comma-separated values for an explicit K-intruder encounter. -found
+// replays an encounter a search discovered: the entry of fitness rank
+// -found-rank in a danger-archive JSONL (casearch -archive), the one
+// on-disk format for discovered encounters.
 //
 // Usage:
 //
@@ -17,6 +20,7 @@
 //	       [-svg out.svg] [-csv out.csv] [-plane plan|profile|time]
 //	       [-faults <preset>]
 //	encsim -genome "Gso,Vso,T,R,theta,Y,Gsi,psi,Vsi[,...]" ...
+//	encsim -found danger.jsonl [-found-rank N] ...
 package main
 
 import (
@@ -24,14 +28,15 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 
 	"acasxval/internal/acasx"
 	"acasxval/internal/campaign"
 	"acasxval/internal/cli"
-	"acasxval/internal/core"
 	"acasxval/internal/encounter"
+	"acasxval/internal/search"
 	"acasxval/internal/sim"
 	"acasxval/internal/stats"
 	"acasxval/internal/viz"
@@ -51,8 +56,8 @@ func run() error {
 			strings.Join(encounter.MultiPresetNames(), ", ")+" (multi-intruder)")
 		intruders = flag.Int("intruders", 0, "fan a pairwise encounter into K intruders rotated evenly around the ownship (0 keeps the scenario's own count)")
 		genome    = flag.String("genome", "", "explicit K*9-parameter encounter, comma-separated (overrides -preset)")
-		foundCSV  = flag.String("found", "", "replay an encounter from a casearch -found-csv file (overrides -preset)")
-		foundRank = flag.Int("found-rank", 1, "1-based row to replay from the -found file")
+		found     = flag.String("found", "", "replay an encounter from a danger-archive JSONL (casearch -archive; overrides -preset)")
+		foundRank = flag.Int("found-rank", 1, "1-based fitness rank of the -found entry to replay")
 		system    = flag.String("system", "acasx", "system under test: "+cli.SystemNames())
 		tablePath = flag.String("table", "", "logic table path (built on the fly when absent)")
 		coarse    = flag.Bool("coarse", false, "use the reduced-resolution table when building")
@@ -69,8 +74,8 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if *foundCSV != "" {
-		m, err = loadFound(*foundCSV, *foundRank)
+	if *found != "" {
+		m, err = loadFound(*found, *foundRank)
 		if err != nil {
 			return err
 		}
@@ -216,22 +221,21 @@ func fanEncounter(p encounter.Params, k int) encounter.MultiParams {
 	return encounter.MultiOf(out...)
 }
 
+// loadFound picks the entry of fitness rank `rank` (1 = fittest, ties in
+// archive order) from a danger-archive JSONL.
 func loadFound(path string, rank int) (encounter.MultiParams, error) {
-	f, err := os.Open(path)
+	entries, err := search.LoadArchiveFile(path)
 	if err != nil {
 		return encounter.MultiParams{}, err
 	}
-	defer f.Close()
-	found, err := core.ReadFound(f)
-	if err != nil {
-		return encounter.MultiParams{}, err
+	if rank < 1 || rank > len(entries) {
+		return encounter.MultiParams{}, fmt.Errorf("found rank %d outside 1..%d", rank, len(entries))
 	}
-	if rank < 1 || rank > len(found) {
-		return encounter.MultiParams{}, fmt.Errorf("found rank %d outside 1..%d", rank, len(found))
-	}
-	fmt.Printf("replaying %s rank %d (recorded fitness %.1f, generation %d)\n",
-		path, rank, found[rank-1].Fitness, found[rank-1].Generation)
-	return found[rank-1].Params.Multi(), nil
+	sort.SliceStable(entries, func(i, j int) bool { return entries[i].Fitness > entries[j].Fitness })
+	e := entries[rank-1]
+	fmt.Printf("replaying %s rank %d: %s (recorded fitness %.1f, island %d generation %d)\n",
+		path, rank, e.Name, e.Fitness, e.Island, e.Generation)
+	return e.MultiEncounterParams()
 }
 
 func pickPlane(name string) (viz.Plane, error) {

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -24,6 +25,7 @@ import (
 	"acasxval/internal/ga"
 	"acasxval/internal/grid2d"
 	"acasxval/internal/montecarlo"
+	"acasxval/internal/search"
 	"acasxval/internal/sim"
 	"acasxval/internal/stats"
 	"acasxval/internal/viz"
@@ -121,29 +123,42 @@ func (h *harness) e1HeadOn() error {
 	return nil
 }
 
+// sectionVIISpec is the paper's section VII search on the one engine: a
+// single island of 200 evolved for 5 generations, 100 sims per encounter.
+func (h *harness) sectionVIISpec() search.Spec {
+	spec := search.DefaultSpec()
+	spec.Islands = 1
+	spec.GA.PopulationSize = 200
+	spec.Seed = h.seed
+	return spec
+}
+
 // e2GASearch reproduces Fig. 6: fitness climbing over 5 generations x 200
 // population.
 func (h *harness) e2GASearch() error {
 	fmt.Println("--- E2 / Fig. 6: GA fitness improvement over generations ---")
-	cfg := core.DefaultSearchConfig()
-	cfg.GA.Seed = h.seed
+	spec := h.sectionVIISpec()
 	if h.quick {
-		cfg.GA.PopulationSize = 40
-		cfg.GA.Generations = 5
-		cfg.Fitness.SimsPerEncounter = 20
+		spec.GA.PopulationSize = 40
+		spec.Fitness.SimsPerEncounter = 20
 	}
 	fmt.Printf("pop=%d gens=%d sims/encounter=%d\n",
-		cfg.GA.PopulationSize, cfg.GA.Generations, cfg.Fitness.SimsPerEncounter)
-	res, err := core.Search(cfg, h.factory, 20, func(gs ga.GenerationStats) {
+		spec.GA.PopulationSize, spec.GA.Generations, spec.Fitness.SimsPerEncounter)
+	var evals []ga.Evaluation
+	logEvals := search.LogEvaluations(&evals)
+	res, err := search.Run(spec, h.factory, search.Options{Observer: func(is search.IslandStats) {
+		logEvals(is)
+		gs := is.Stats
 		fmt.Printf("  generation %d: min %.1f mean %.1f max %.1f\n", gs.Generation, gs.Min, gs.Mean, gs.Max)
-	})
+	}})
 	if err != nil {
 		return err
 	}
-	fmt.Print(viz.RenderFitnessSeries(res.Evaluations, cfg.GA.PopulationSize, 100, 16))
-	first := res.PerGeneration[0]
-	last := res.PerGeneration[len(res.PerGeneration)-1]
-	tally := core.Tally(res.Top)
+	fmt.Print(viz.RenderFitnessSeries(evals, spec.GA.PopulationSize, 100, 16))
+	history := res.Islands[0]
+	first := history[0]
+	last := history[len(history)-1]
+	tally := core.Tally(core.TopEncounters(spec.Ranges, evals, 20))
 	fmt.Printf("paper:    \"in the first generation most encounters are with low fitness, and over generations\n")
 	fmt.Printf("           more and more encounters get higher fitness\"; search took ~300 s (footnote 5)\n")
 	fmt.Printf("measured: gen0 mean %.1f -> final mean %.1f (max %.1f -> %.1f); %d evaluations in %v\n",
@@ -160,15 +175,11 @@ func (h *harness) e3TailApproach() error {
 	if h.quick {
 		fit.SimsPerEncounter = 50
 	}
-	ev, err := core.NewEvaluator(encounter.DefaultRanges(), h.factory, fit)
+	_, tail, err := search.EvaluateEncounter(context.Background(), encounter.PresetTailApproach().Multi(), h.seed, fit, h.factory, 0, nil)
 	if err != nil {
 		return err
 	}
-	tail, err := ev.EvaluateEncounter(encounter.PresetTailApproach(), h.seed)
-	if err != nil {
-		return err
-	}
-	head, err := ev.EvaluateEncounter(encounter.PresetHeadOn(), h.seed)
+	_, head, err := search.EvaluateEncounter(context.Background(), encounter.PresetHeadOn().Multi(), h.seed, fit, h.factory, 0, nil)
 	if err != nil {
 		return err
 	}
@@ -189,7 +200,7 @@ func (h *harness) e3TailApproach() error {
 	fmt.Printf("          cause: \"in a tail approach situation the relative speed is very small, so ... the\n")
 	fmt.Printf("          ACAS XU logic still thinks the collision risk is low and does not emit commands\"\n")
 	fmt.Printf("measured: tail approach %d/%d NMACs (alert rate %.2f), head-on %d/%d NMACs (alert rate %.2f)\n\n",
-		tail.NMACCount, tail.Runs, tail.AlertRate, head.NMACCount, head.Runs, head.AlertRate)
+		tail.NMACs, tail.Samples, tail.AlertRate, head.NMACs, head.Samples, head.AlertRate)
 	return nil
 }
 
@@ -243,28 +254,36 @@ func (h *harness) e5ValueIteration() error {
 // e7GAvsRandom reproduces the section V / reference [7] efficiency claim.
 func (h *harness) e7GAvsRandom() error {
 	fmt.Println("--- E7 / section V: GA search vs uniform random search at equal budget ---")
-	cfg := core.DefaultSearchConfig()
-	cfg.GA.Seed = h.seed
-	cfg.GA.PopulationSize = 40
-	cfg.GA.Generations = 5
-	cfg.Fitness.SimsPerEncounter = 20
+	spec := h.sectionVIISpec()
+	spec.GA.PopulationSize = 40
+	spec.Fitness.SimsPerEncounter = 20
 	if h.quick {
-		cfg.GA.PopulationSize = 20
-		cfg.Fitness.SimsPerEncounter = 10
+		spec.GA.PopulationSize = 20
+		spec.Fitness.SimsPerEncounter = 10
 	}
 	const threshold = 9000 // "found a collision case": >= 90% of runs NMAC
 	const seeds = 3
-	cfg.GA.Seed = h.seed
-	cmp, err := core.CompareSearch(cfg, h.factory, seeds, threshold)
-	if err != nil {
-		return err
+	cmp := core.ComparisonResult{Threshold: threshold}
+	budget := 0
+	for s := 0; s < seeds; s++ {
+		spec.Seed = h.seed + uint64(s)
+		var gaLog, rndLog []ga.Evaluation
+		res, err := search.Run(spec, h.factory, search.Options{Observer: search.LogEvaluations(&gaLog)})
+		if err != nil {
+			return err
+		}
+		budget = res.NumEvaluations
+		if _, err := search.Run(spec.RandomBaseline(budget), h.factory, search.Options{Observer: search.LogEvaluations(&rndLog)}); err != nil {
+			return err
+		}
+		cmp.Add(gaLog, rndLog)
 	}
 	gaFirst, rndFirst := cmp.MedianFirst()
 	gaHits, rndHits := cmp.MedianHits()
 	fmt.Printf("paper:    \"the proposed approach can find some cases that a random-search-based approach\n")
 	fmt.Printf("          took a long time to find\" (shown for SVO in reference [7])\n")
 	fmt.Printf("measured: over %d seeds at %d evaluations each (fitness >= %d = collision case):\n",
-		seeds, cmp.Budget, threshold)
+		seeds, budget, threshold)
 	fmt.Printf("          evaluations to first case: GA median %.0f, random median %.0f\n", gaFirst, rndFirst)
 	fmt.Printf("          collision cases found per budget: GA median %.0f, random median %.0f (%.1fx)\n",
 		gaHits, rndHits, cmp.ConcentrationGain())
@@ -337,7 +356,7 @@ func (h *harness) e8MonteCarlo() error {
 	if err != nil {
 		return err
 	}
-	equipped, err := montecarlo.Evaluate(model, montecarlo.SystemFactory(h.factory), cfg)
+	equipped, err := montecarlo.Evaluate(model, h.factory, cfg)
 	if err != nil {
 		return err
 	}

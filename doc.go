@@ -24,7 +24,10 @@
 //
 //   - The paper's contribution: a Genetic-Algorithm-based search for
 //     challenging encounter situations where the generated logic performs
-//     poorly (Search), with a uniform random search baseline (RandomSearch)
+//     poorly (RunSearch with one island is the paper's single-population
+//     GA; LogSearchEvaluations records the Fig. 6 evaluation log), with a
+//     uniform random search baseline at equal budget
+//     (SearchSpec.RandomBaseline: the same spec run for one generation)
 //     and a Monte-Carlo risk estimation harness (EstimateRisk) for the
 //     validation path the GA approach complements.
 //
@@ -50,7 +53,8 @@
 // threshold lands in a deduplicated danger archive whose JSONL reloads as
 // explicit campaign scenarios (LoadDangerArchive, ArchiveCampaignScenarios)
 // — sweep -> search -> archive -> sweep. cmd/casearch drives the engine
-// with -islands N; examples/adversarial walks the loop end to end.
+// (one island by default, -islands N for more); examples/adversarial walks
+// the loop end to end.
 //
 // Encounters are not limited to the paper's pairwise geometry: every
 // layer accepts one-ownship, K-intruder scenarios (MultiEncounterParams —

@@ -1,7 +1,8 @@
 // Fig. 6 reproduction at example scale: run the GA-based challenging
-// situation search against the equipped system and watch the fitness climb
-// over generations; then classify the discovered encounters (the paper
-// found "most of them are tail approach situations").
+// situation search (one island: the paper's single-population GA) against
+// the equipped system and watch the fitness climb over generations; then
+// classify the discovered encounters (the paper found "most of them are
+// tail approach situations").
 package main
 
 import (
@@ -10,6 +11,7 @@ import (
 
 	"acasxval"
 	"acasxval/internal/core"
+	"acasxval/internal/ga"
 	"acasxval/internal/sim"
 	"acasxval/internal/viz"
 )
@@ -25,27 +27,33 @@ func main() {
 		return acasxval.NewACASXU(table), acasxval.NewACASXU(table)
 	}
 
-	cfg := acasxval.DefaultSearchConfig()
-	// Example scale: the paper's full workload is pop=200, gens=5,
-	// sims=100 (see cmd/casearch).
-	cfg.GA.PopulationSize = 50
-	cfg.GA.Generations = 5
-	cfg.GA.Seed = 3
-	cfg.Fitness.SimsPerEncounter = 30
+	spec := acasxval.DefaultSearchSpec()
+	// Example scale: the paper's full workload is one island of 200 for 5
+	// generations at 100 sims per encounter (see cmd/casearch).
+	spec.Islands = 1
+	spec.GA.PopulationSize = 50
+	spec.GA.Generations = 5
+	spec.Seed = 3
+	spec.Fitness.SimsPerEncounter = 30
 
-	res, err := acasxval.Search(cfg, factory, 10, func(gs acasxval.GenerationStats) {
+	var evals []ga.Evaluation
+	logEvals := acasxval.LogSearchEvaluations(&evals)
+	res, err := acasxval.RunSearch(spec, factory, acasxval.SearchOptions{Observer: func(is acasxval.IslandStats) {
+		logEvals(is)
+		gs := is.Stats
 		fmt.Printf("generation %d: fitness min %8.1f mean %8.1f max %8.1f\n",
 			gs.Generation, gs.Min, gs.Mean, gs.Max)
-	})
+	}})
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	fmt.Println()
-	fmt.Print(viz.RenderFitnessSeries(res.Evaluations, cfg.GA.PopulationSize, 100, 16))
+	fmt.Print(viz.RenderFitnessSeries(evals, spec.GA.PopulationSize, 100, 16))
 
-	fmt.Printf("\ntop discoveries:\n%s", core.ReportTop(res.Top))
-	tally := core.Tally(res.Top)
+	top := core.TopEncounters(spec.Ranges, evals, 10)
+	fmt.Printf("\ntop discoveries:\n%s", core.ReportTop(top))
+	tally := core.Tally(top)
 	fmt.Printf("geometry tally: %s\ndominant class: %s\n", tally, tally.Dominant())
 	fmt.Printf("search: %d evaluations in %v\n", res.NumEvaluations, res.Elapsed.Round(1e7))
 }

@@ -77,14 +77,8 @@ type (
 	// Evaluation is one recorded fitness evaluation.
 	Evaluation = ga.Evaluation
 
-	// SearchConfig assembles a challenging-situation search.
-	SearchConfig = core.SearchConfig
-	// SearchResult is the outcome of a GA search.
-	SearchResult = core.SearchResult
 	// FitnessConfig parameterizes the paper's fitness function.
 	FitnessConfig = core.FitnessConfig
-	// Found is one discovered encounter.
-	Found = core.Found
 	// SystemFactory builds fresh systems for one evaluation.
 	SystemFactory = core.SystemFactory
 
@@ -349,25 +343,6 @@ func Classify(p EncounterParams) Geometry { return encounter.Classify(p) }
 // initial closure) pairwise geometry.
 func ClassifyMulti(m MultiEncounterParams) Geometry { return encounter.ClassifyMulti(m) }
 
-// DefaultSearchConfig reproduces the paper's section VII search settings
-// (population 200, 5 generations, 100 simulations per encounter).
-func DefaultSearchConfig() SearchConfig { return core.DefaultSearchConfig() }
-
-// Search runs the GA-based challenging-situation search; the observer (may
-// be nil) receives per-generation progress.
-func Search(cfg SearchConfig, factory SystemFactory, topK int, obs func(GenerationStats)) (*SearchResult, error) {
-	var gaObs ga.Observer
-	if obs != nil {
-		gaObs = ga.Observer(obs)
-	}
-	return core.Search(cfg, factory, topK, gaObs)
-}
-
-// RandomSearch runs the uniform random baseline over n encounters.
-func RandomSearch(cfg SearchConfig, factory SystemFactory, n int, record bool) (*core.RandomSearchResult, error) {
-	return core.RandomSearch(cfg, factory, n, record)
-}
-
 // DefaultEncounterModel returns the parametric UAV airspace model used for
 // Monte-Carlo estimation.
 func DefaultEncounterModel() EncounterModel { return montecarlo.DefaultEncounterModel() }
@@ -386,7 +361,7 @@ func PointEncounterModel(p EncounterParams) EncounterModel { return montecarlo.P
 // random streams derive counter-style from (cfg.Seed, episode index), so
 // the estimate is bit-identical for any worker count.
 func EstimateRisk(model EncounterModel, factory SystemFactory, cfg MonteCarloConfig) (*RiskEstimate, error) {
-	return montecarlo.Evaluate(model, montecarlo.SystemFactory(factory), cfg)
+	return montecarlo.Evaluate(model, factory, cfg)
 }
 
 // DefaultMultiEncounterModel returns k independent copies of the default
@@ -400,7 +375,7 @@ func DefaultMultiEncounterModel(k int) MultiEncounterModel {
 // pairwise conflicts in one closed-loop world. A single-intruder model
 // produces the exact estimate of EstimateRisk.
 func EstimateMultiRisk(model MultiEncounterModel, factory SystemFactory, cfg MonteCarloConfig) (*RiskEstimate, error) {
-	return montecarlo.EvaluateMulti(model, montecarlo.SystemFactory(factory), cfg)
+	return montecarlo.EvaluateMulti(model, factory, cfg)
 }
 
 // RiskRatio is P(NMAC | equipped) / P(NMAC | unequipped).
@@ -433,13 +408,13 @@ func ArchiveProposalKernels(entries []DangerArchiveEntry) ([][]float64, error) {
 // size and the measured variance-reduction factor against a brute-force run
 // of the same episode budget, and are bit-identical for any worker count.
 func EstimateRareRisk(model EncounterModel, factory SystemFactory, cfg MonteCarloConfig, spec RareEventSpec) (*RiskEstimate, error) {
-	return montecarlo.EstimateRare(model, montecarlo.SystemFactory(factory), cfg, spec)
+	return montecarlo.EstimateRare(model, factory, cfg, spec)
 }
 
 // EstimateMultiRareRisk is EstimateRareRisk against a K-intruder encounter
 // model.
 func EstimateMultiRareRisk(model MultiEncounterModel, factory SystemFactory, cfg MonteCarloConfig, spec RareEventSpec) (*RiskEstimate, error) {
-	return montecarlo.EstimateRareMulti(model, montecarlo.SystemFactory(factory), cfg, spec)
+	return montecarlo.EstimateRareMulti(model, factory, cfg, spec)
 }
 
 // DefaultCampaignSpec returns a campaign skeleton: every named preset
@@ -483,7 +458,16 @@ func LoadSearchSpec(path string) (SearchSpec, error) { return search.Load(path) 
 // opts.CheckpointPath is set — the state checkpoints after every generation
 // so a killed run resumes bit-identically (opts.Resume).
 func RunSearch(spec SearchSpec, factory SystemFactory, opts SearchOptions) (*IslandSearchResult, error) {
-	return search.Run(spec, core.SystemFactory(factory), opts)
+	return search.Run(spec, factory, opts)
+}
+
+// LogSearchEvaluations returns a search observer that appends every
+// evaluated individual to *log, generation by generation and islands in
+// order: the evaluation log Fig. 6 scatters. One island reproduces the
+// paper's single-population GA; SearchSpec.RandomBaseline is its uniform
+// random-search baseline at equal budget.
+func LogSearchEvaluations(log *[]Evaluation) func(IslandStats) {
+	return search.LogEvaluations(log)
 }
 
 // LoadDangerArchive reads a danger-archive JSONL file written by a search.

@@ -11,6 +11,60 @@ import (
 	"acasxval/internal/stats"
 )
 
+// Found is one discovered encounter with its evaluation.
+type Found struct {
+	Params  encounter.Params
+	Fitness float64
+	// Geometry classifies the encounter (head-on / tail approach /
+	// crossing), the analysis step of section VII.
+	Geometry encounter.Geometry
+	// Generation and Index locate the discovery in the evaluation log.
+	Generation int
+	Index      int
+}
+
+// TopEncounters decodes and ranks the k highest-fitness evaluations of a
+// pairwise search's evaluation log (ties keep log order). Genomes that do
+// not decode as one pairwise encounter are skipped.
+func TopEncounters(ranges encounter.Ranges, evals []ga.Evaluation, k int) []Found {
+	if k <= 0 || len(evals) == 0 {
+		return nil
+	}
+	sorted := append([]ga.Evaluation(nil), evals...)
+	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Fitness > sorted[j].Fitness })
+	out := make([]Found, 0, k)
+	for _, e := range sorted {
+		if len(out) == k {
+			break
+		}
+		p, err := encounter.FromVector(e.Genome)
+		if err != nil {
+			continue
+		}
+		p = ranges.Clamp(p)
+		out = append(out, Found{
+			Params:     p,
+			Fitness:    e.Fitness,
+			Geometry:   encounter.Classify(p),
+			Generation: e.Generation,
+			Index:      e.Index,
+		})
+	}
+	return out
+}
+
+// EvaluationsToReach returns the 1-based position of the first evaluation
+// in the log whose fitness reaches the threshold, or -1 if none does. Used
+// to compare GA and random search efficiency.
+func EvaluationsToReach(evals []ga.Evaluation, threshold float64) int {
+	for i, e := range evals {
+		if e.Fitness >= threshold {
+			return i + 1
+		}
+	}
+	return -1
+}
+
 // CategoryTally counts discovered encounters by geometry class — the
 // analysis that revealed "most of them are tail approach situations"
 // (section VII).

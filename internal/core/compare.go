@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 
 	"acasxval/internal/ga"
@@ -11,12 +10,11 @@ import (
 // ComparisonResult aggregates a multi-seed GA-versus-random-search
 // comparison at equal evaluation budget — the quantitative form of the
 // paper's section V claim that the GA "can find some cases that a
-// random-search-based approach took a long time to find".
+// random-search-based approach took a long time to find". Build it by
+// setting Threshold and calling Add once per seed.
 type ComparisonResult struct {
 	// Seeds is the number of independent repetitions.
 	Seeds int
-	// Budget is the evaluation budget per arm per seed.
-	Budget int
 	// Threshold is the fitness defining a "found case".
 	Threshold float64
 	// GAFirst / RandomFirst are the per-seed evaluation counts to the
@@ -63,49 +61,33 @@ func (c ComparisonResult) ConcentrationGain() float64 {
 	return gaHits / rndHits
 }
 
-// CompareSearch runs the GA and the uniform random baseline over `seeds`
-// independent repetitions at equal budget and aggregates the comparison.
-// cfg.GA.Seed seeds the first repetition; subsequent repetitions increment
-// it.
-func CompareSearch(cfg SearchConfig, factory SystemFactory, seeds int, threshold float64) (*ComparisonResult, error) {
-	if seeds < 1 {
-		return nil, fmt.Errorf("core: seeds %d < 1", seeds)
+// Add records one repetition: the GA's evaluation log and the random
+// baseline's, scored against c.Threshold.
+func (c *ComparisonResult) Add(gaLog, rndLog []ga.Evaluation) {
+	c.Seeds++
+	if at := EvaluationsToReach(gaLog, c.Threshold); at > 0 {
+		c.GAFirst = append(c.GAFirst, float64(at))
 	}
-	if !cfg.GA.RecordEvaluations {
-		cfg.GA.RecordEvaluations = true
+	if at := EvaluationsToReach(rndLog, c.Threshold); at > 0 {
+		c.RandomFirst = append(c.RandomFirst, float64(at))
 	}
-	budget := cfg.GA.PopulationSize * cfg.GA.Generations
-	out := &ComparisonResult{Seeds: seeds, Budget: budget, Threshold: threshold}
-	countAbove := func(evals []ga.Evaluation) int {
-		n := 0
-		for _, e := range evals {
-			if e.Fitness >= threshold {
-				n++
-			}
+	gaHits, gaBest := scoreLog(gaLog, c.Threshold)
+	rndHits, rndBest := scoreLog(rndLog, c.Threshold)
+	c.GAHits = append(c.GAHits, gaHits)
+	c.RandomHits = append(c.RandomHits, rndHits)
+	c.GABest = append(c.GABest, gaBest)
+	c.RandomBest = append(c.RandomBest, rndBest)
+}
+
+// scoreLog counts the evaluations at or above threshold and finds the best
+// fitness of a log.
+func scoreLog(evals []ga.Evaluation, threshold float64) (hits, best float64) {
+	best = math.Inf(-1)
+	for _, e := range evals {
+		if e.Fitness >= threshold {
+			hits++
 		}
-		return n
+		best = math.Max(best, e.Fitness)
 	}
-	baseSeed := cfg.GA.Seed
-	for s := 0; s < seeds; s++ {
-		cfg.GA.Seed = baseSeed + uint64(s)
-		gaRes, err := Search(cfg, factory, 1, nil)
-		if err != nil {
-			return nil, err
-		}
-		rnd, err := RandomSearch(cfg, factory, budget, true)
-		if err != nil {
-			return nil, err
-		}
-		if at := EvaluationsToReach(gaRes.Evaluations, threshold); at > 0 {
-			out.GAFirst = append(out.GAFirst, float64(at))
-		}
-		if at := EvaluationsToReach(rnd.Evaluations, threshold); at > 0 {
-			out.RandomFirst = append(out.RandomFirst, float64(at))
-		}
-		out.GAHits = append(out.GAHits, float64(countAbove(gaRes.Evaluations)))
-		out.RandomHits = append(out.RandomHits, float64(countAbove(rnd.Evaluations)))
-		out.GABest = append(out.GABest, gaRes.Best.Fitness)
-		out.RandomBest = append(out.RandomBest, rnd.Best.Fitness)
-	}
-	return out, nil
+	return hits, best
 }

@@ -1,13 +1,18 @@
-package core
+package core_test
 
 import (
+	"context"
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 
 	"acasxval/internal/acasx"
+	"acasxval/internal/core"
 	"acasxval/internal/encounter"
 	"acasxval/internal/ga"
+	"acasxval/internal/montecarlo"
+	"acasxval/internal/search"
 	"acasxval/internal/sim"
 )
 
@@ -17,7 +22,7 @@ var (
 	tableErr  error
 )
 
-func acasFactory(tb testing.TB) SystemFactory {
+func acasFactory(tb testing.TB) core.SystemFactory {
 	tb.Helper()
 	tableOnce.Do(func() {
 		cfg := acasx.DefaultConfig()
@@ -33,46 +38,64 @@ func acasFactory(tb testing.TB) SystemFactory {
 }
 
 // quickFitness keeps unit tests fast: few sims per encounter.
-func quickFitness() FitnessConfig {
-	cfg := DefaultFitnessConfig()
+func quickFitness() core.FitnessConfig {
+	cfg := core.DefaultFitnessConfig()
 	cfg.SimsPerEncounter = 8
 	return cfg
 }
 
-func TestFitnessConfigValidation(t *testing.T) {
-	if err := DefaultFitnessConfig().Validate(); err != nil {
+// evaluate scores one pairwise encounter with the search's fitness
+// function.
+func evaluate(t *testing.T, p encounter.Params, seed uint64, fit core.FitnessConfig, factory core.SystemFactory) (float64, *montecarlo.Estimate) {
+	t.Helper()
+	fitness, est, err := search.EvaluateEncounter(context.Background(), p.Multi(), seed, fit, factory, 0, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	bad := DefaultFitnessConfig()
+	return fitness, est
+}
+
+// quickSpec is a single-island (the paper's single-population) search at
+// unit-test scale.
+func quickSpec(pop, gens int, seed uint64) search.Spec {
+	spec := search.DefaultSpec()
+	spec.Islands = 1
+	spec.GA.PopulationSize = pop
+	spec.GA.Generations = gens
+	spec.Seed = seed
+	spec.Fitness.SimsPerEncounter = 4
+	return spec
+}
+
+// runLogged runs spec and returns its result with the evaluation log.
+func runLogged(t *testing.T, spec search.Spec, factory core.SystemFactory) (*search.Result, []ga.Evaluation) {
+	t.Helper()
+	var evals []ga.Evaluation
+	res, err := search.Run(spec, factory, search.Options{Observer: search.LogEvaluations(&evals)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, evals
+}
+
+func TestFitnessConfigValidation(t *testing.T) {
+	if err := core.DefaultFitnessConfig().Validate(); err != nil {
+		t.Fatal(err)
+	}
+	bad := core.DefaultFitnessConfig()
 	bad.SimsPerEncounter = 0
 	if err := bad.Validate(); err == nil {
 		t.Error("zero sims accepted")
 	}
-	bad2 := DefaultFitnessConfig()
+	bad2 := core.DefaultFitnessConfig()
 	bad2.CollisionGain = 0
 	if err := bad2.Validate(); err == nil {
 		t.Error("zero gain accepted")
 	}
-	bad3 := DefaultFitnessConfig()
+	bad3 := core.DefaultFitnessConfig()
 	bad3.Run.Dt = 0
 	if err := bad3.Validate(); err == nil {
 		t.Error("bad run config accepted")
-	}
-}
-
-func TestNewEvaluatorValidation(t *testing.T) {
-	if _, err := NewEvaluator(encounter.DefaultRanges(), nil, quickFitness()); err == nil {
-		t.Error("nil factory accepted")
-	}
-	badRanges := encounter.DefaultRanges()
-	badRanges.TimeToCPA = encounter.Range{Min: 5, Max: 1}
-	if _, err := NewEvaluator(badRanges, Unequipped, quickFitness()); err == nil {
-		t.Error("bad ranges accepted")
-	}
-	bad := quickFitness()
-	bad.SimsPerEncounter = -1
-	if _, err := NewEvaluator(encounter.DefaultRanges(), Unequipped, bad); err == nil {
-		t.Error("bad fitness config accepted")
 	}
 }
 
@@ -80,48 +103,30 @@ func TestNewEvaluatorValidation(t *testing.T) {
 // collides in (almost) every run, so the fitness approaches the collision
 // gain.
 func TestUnequippedHeadOnFitnessNearMax(t *testing.T) {
-	ev, err := NewEvaluator(encounter.DefaultRanges(), Unequipped, quickFitness())
-	if err != nil {
-		t.Fatal(err)
+	fitness, est := evaluate(t, encounter.PresetHeadOn(), 1, quickFitness(), montecarlo.Unequipped)
+	if est.NMACs < est.Samples-1 {
+		t.Errorf("unequipped head-on NMACs: %d/%d", est.NMACs, est.Samples)
 	}
-	out, err := ev.EvaluateEncounter(encounter.PresetHeadOn(), 1)
-	if err != nil {
-		t.Fatal(err)
+	if fitness < 9000 {
+		t.Errorf("fitness = %v, want ~10000", fitness)
 	}
-	if out.NMACCount < out.Runs-1 {
-		t.Errorf("unequipped head-on NMACs: %d/%d", out.NMACCount, out.Runs)
-	}
-	if out.Fitness < 9000 {
-		t.Errorf("fitness = %v, want ~10000", out.Fitness)
-	}
-	if out.AlertRate != 0 {
-		t.Errorf("unequipped aircraft alerted (rate %v)", out.AlertRate)
+	if est.AlertRate != 0 {
+		t.Errorf("unequipped aircraft alerted (rate %v)", est.AlertRate)
 	}
 }
 
 // TestEquippedFitnessMuchLower: the working system drives the fitness far
 // down on the same encounter — the signal the GA climbs against.
 func TestEquippedFitnessMuchLower(t *testing.T) {
-	factory := acasFactory(t)
-	ev, err := NewEvaluator(encounter.DefaultRanges(), factory, quickFitness())
-	if err != nil {
-		t.Fatal(err)
+	fitness, est := evaluate(t, encounter.PresetHeadOn(), 1, quickFitness(), acasFactory(t))
+	if est.NMACs != 0 {
+		t.Errorf("equipped head-on NMACs: %d/%d", est.NMACs, est.Samples)
 	}
-	out, err := ev.EvaluateEncounter(encounter.PresetHeadOn(), 1)
-	if err != nil {
-		t.Fatal(err)
+	if fitness > 500 {
+		t.Errorf("equipped fitness = %v, want small", fitness)
 	}
-	if out.NMACCount != 0 {
-		t.Errorf("equipped head-on NMACs: %d/%d", out.NMACCount, out.Runs)
-	}
-	if out.Fitness > 500 {
-		t.Errorf("equipped fitness = %v, want small", out.Fitness)
-	}
-	if out.AlertRate == 0 {
+	if est.AlertRate == 0 {
 		t.Error("equipped system never alerted")
-	}
-	if out.NMACRate() != 0 {
-		t.Error("NMACRate inconsistent")
 	}
 }
 
@@ -132,89 +137,71 @@ func TestTailApproachBeatsHeadOnFitness(t *testing.T) {
 	factory := acasFactory(t)
 	cfg := quickFitness()
 	cfg.SimsPerEncounter = 20
-	ev, err := NewEvaluator(encounter.DefaultRanges(), factory, cfg)
-	if err != nil {
-		t.Fatal(err)
+	headOn, headEst := evaluate(t, encounter.PresetHeadOn(), 5, cfg, factory)
+	tail, tailEst := evaluate(t, encounter.PresetTailApproach(), 5, cfg, factory)
+	if tail <= headOn {
+		t.Errorf("tail fitness %v <= head-on fitness %v", tail, headOn)
 	}
-	headOn, err := ev.EvaluateEncounter(encounter.PresetHeadOn(), 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tail, err := ev.EvaluateEncounter(encounter.PresetTailApproach(), 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tail.Fitness <= headOn.Fitness {
-		t.Errorf("tail fitness %v <= head-on fitness %v", tail.Fitness, headOn.Fitness)
-	}
-	if tail.NMACRate() <= headOn.NMACRate() {
-		t.Errorf("tail NMAC rate %v <= head-on %v", tail.NMACRate(), headOn.NMACRate())
+	if tailEst.PNMAC <= headEst.PNMAC {
+		t.Errorf("tail NMAC rate %v <= head-on %v", tailEst.PNMAC, headEst.PNMAC)
 	}
 }
 
 func TestEvaluateDeterministicPerSeed(t *testing.T) {
-	ev, err := NewEvaluator(encounter.DefaultRanges(), Unequipped, quickFitness())
-	if err != nil {
-		t.Fatal(err)
+	m := encounter.PresetCrossing().Multi()
+	fit := quickFitness()
+	var got []float64
+	for _, workers := range []int{1, 1, 4} {
+		f, _, err := search.EvaluateEncounter(context.Background(), m, 77, fit, montecarlo.Unequipped, workers, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, f)
 	}
-	g := encounter.PresetCrossing().Vector()
-	ctx := ga.EvalContext{Seed: 77}
-	a := ev.Evaluate(g, ctx)
-	b := ev.Evaluate(g, ctx)
-	if a != b {
-		t.Errorf("same seed, different fitness: %v vs %v", a, b)
-	}
-}
-
-func TestEvaluateBadGenome(t *testing.T) {
-	ev, err := NewEvaluator(encounter.DefaultRanges(), Unequipped, quickFitness())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := ev.Evaluate([]float64{1, 2}, ga.EvalContext{}); got != 0 {
-		t.Errorf("bad genome fitness = %v, want 0", got)
+	if got[0] != got[1] || got[0] != got[2] {
+		t.Errorf("same seed, different fitness: %v", got)
 	}
 }
 
-// TestSearchPipeline runs a miniature end-to-end GA search against the
-// unequipped baseline (cheap and guaranteed to find collisions) and checks
-// the structure of the result.
+// TestSearchPipeline runs a miniature end-to-end GA search on one island
+// against the unequipped baseline (cheap and guaranteed to find
+// collisions) and checks the evaluation log the observer builds, the
+// generation statistics and the top-K report read from the log.
 func TestSearchPipeline(t *testing.T) {
-	cfg := DefaultSearchConfig()
-	cfg.GA.PopulationSize = 10
-	cfg.GA.Generations = 3
-	cfg.GA.Seed = 42
-	cfg.Fitness.SimsPerEncounter = 4
-	var gens []int
-	res, err := Search(cfg, Unequipped, 5, func(gs ga.GenerationStats) {
-		gens = append(gens, gs.Generation)
-	})
-	if err != nil {
-		t.Fatal(err)
+	res, evals := runLogged(t, quickSpec(10, 3, 42), montecarlo.Unequipped)
+	// Elites keep their fitness, so later generations evaluate only the
+	// 8 bred children; the log still holds every generation's population.
+	if res.NumEvaluations != 10+2*8 {
+		t.Errorf("evaluations = %d, want 26", res.NumEvaluations)
 	}
-	if res.NumEvaluations != 30 {
-		t.Errorf("evaluations = %d, want 30", res.NumEvaluations)
+	if len(evals) != 30 {
+		t.Fatalf("evaluation log has %d entries, want 30", len(evals))
 	}
-	if len(res.PerGeneration) != 3 {
-		t.Errorf("per-generation stats = %d, want 3", len(res.PerGeneration))
+	for i, e := range evals {
+		if e.Generation != i/10 || e.Index != i%10 || len(e.Genome) != encounter.NumParams {
+			t.Fatalf("log entry %d = gen %d index %d (%d genes)", i, e.Generation, e.Index, len(e.Genome))
+		}
 	}
-	if len(res.Top) != 5 {
-		t.Errorf("top list = %d, want 5", len(res.Top))
+	history := res.Islands[0]
+	if len(history) != 3 {
+		t.Fatalf("per-generation stats = %d, want 3", len(history))
 	}
-	// Top list is sorted descending.
-	for i := 1; i < len(res.Top); i++ {
-		if res.Top[i].Fitness > res.Top[i-1].Fitness {
+	for g, gs := range history {
+		if gs.Max != maxFitness(evals[10*g:10*(g+1)]) {
+			t.Errorf("generation %d max %v disagrees with the log", g, gs.Max)
+		}
+	}
+	top := core.TopEncounters(search.DefaultSpec().Ranges, evals, 5)
+	if len(top) != 5 {
+		t.Fatalf("top list = %d, want 5", len(top))
+	}
+	for i := 1; i < len(top); i++ {
+		if top[i].Fitness > top[i-1].Fitness {
 			t.Fatal("top list not sorted")
 		}
 	}
-	if res.Best.Fitness != res.Top[0].Fitness {
-		t.Error("best does not match top of list")
-	}
-	if len(gens) != 3 {
-		t.Errorf("observer called %d times", len(gens))
-	}
-	if res.Elapsed <= 0 {
-		t.Error("elapsed not recorded")
+	if res.Best.Fitness != top[0].Fitness {
+		t.Errorf("best %v does not match top of list %v", res.Best.Fitness, top[0].Fitness)
 	}
 	// Against unequipped aircraft the search space is full of collisions:
 	// the best must be near the maximum gain.
@@ -223,30 +210,111 @@ func TestSearchPipeline(t *testing.T) {
 	}
 }
 
+func maxFitness(evals []ga.Evaluation) float64 {
+	m := math.Inf(-1)
+	for _, e := range evals {
+		m = math.Max(m, e.Fitness)
+	}
+	return m
+}
+
+// TestRandomSearch checks the random baseline: the GA's spec run for one
+// generation on one island of n individuals. Generation 0 is uniform over
+// the genome bounds, so the baseline draws exactly the GA's own initial
+// population first, scored with the GA's own fitness, and sweep seeds do
+// not leak into it.
 func TestRandomSearch(t *testing.T) {
-	cfg := DefaultSearchConfig()
-	cfg.GA.Seed = 7
-	cfg.Fitness.SimsPerEncounter = 4
-	res, err := RandomSearch(cfg, Unequipped, 12, true)
+	spec := quickSpec(6, 2, 7)
+	_, unseeded := runLogged(t, spec, montecarlo.Unequipped)
+	spec.SeedGenomes = [][]float64{encounter.PresetHeadOn().Vector()}
+	gaRes, gaLog := runLogged(t, spec, montecarlo.Unequipped)
+
+	rnd, rndLog := runLogged(t, spec.RandomBaseline(12), montecarlo.Unequipped)
+	if rnd.NumEvaluations != 12 || len(rndLog) != 12 {
+		t.Fatalf("evaluations = %d/%d, want 12", rnd.NumEvaluations, len(rndLog))
+	}
+	lo, hi := spec.Ranges.Bounds()
+	bounds, err := ga.NewBounds(lo, hi)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.NumEvaluations != 12 || len(res.Evaluations) != 12 {
-		t.Errorf("evaluations = %d/%d, want 12", res.NumEvaluations, len(res.Evaluations))
+	for i, e := range rndLog {
+		if e.Generation != 0 || !bounds.Contains(e.Genome) {
+			t.Fatalf("baseline entry %d: generation %d genome %v", i, e.Generation, e.Genome)
+		}
 	}
-	if res.Best.Fitness <= 0 {
-		t.Errorf("best fitness = %v", res.Best.Fitness)
+	if !reflect.DeepEqual(rndLog[:6], unseeded[:6]) {
+		t.Error("baseline does not start with the GA's own uniform generation 0")
 	}
-	if _, err := RandomSearch(cfg, Unequipped, 0, false); err == nil {
-		t.Error("n=0 accepted")
+	if reflect.DeepEqual(rndLog[:6], gaLog[:6]) {
+		t.Error("sweep seed genomes leaked into the baseline")
 	}
-	// Unrecorded mode keeps no log.
-	res2, err := RandomSearch(cfg, Unequipped, 3, false)
-	if err != nil {
-		t.Fatal(err)
+	if rnd.Best.Fitness <= 0 || gaRes.Best.Fitness <= 0 {
+		t.Errorf("best fitness GA %v random %v", gaRes.Best.Fitness, rnd.Best.Fitness)
 	}
-	if res2.Evaluations != nil {
-		t.Error("unrecorded search kept a log")
+}
+
+func TestCompareSearchAgainstUnequipped(t *testing.T) {
+	spec := quickSpec(8, 3, 5)
+	cmp := core.ComparisonResult{Threshold: 9000}
+	for s := uint64(0); s < 2; s++ {
+		spec.Seed = 5 + s
+		res, gaLog := runLogged(t, spec, montecarlo.Unequipped)
+		_, rndLog := runLogged(t, spec.RandomBaseline(res.NumEvaluations), montecarlo.Unequipped)
+		if len(rndLog) != res.NumEvaluations {
+			t.Fatalf("baseline budget %d, want the GA's %d evaluations", len(rndLog), res.NumEvaluations)
+		}
+		cmp.Add(gaLog, rndLog)
+	}
+	if cmp.Seeds != 2 {
+		t.Errorf("seeds = %d", cmp.Seeds)
+	}
+	if len(cmp.GAHits) != 2 || len(cmp.RandomHits) != 2 {
+		t.Fatalf("hit records missing: %v / %v", cmp.GAHits, cmp.RandomHits)
+	}
+	// Against unequipped aircraft collisions abound: both arms find cases.
+	gaFirst, rndFirst := cmp.MedianFirst()
+	if gaFirst <= 0 || rndFirst <= 0 {
+		t.Errorf("first-case medians = %v/%v, want positive", gaFirst, rndFirst)
+	}
+	gaHits, rndHits := cmp.MedianHits()
+	if gaHits <= 0 || rndHits <= 0 {
+		t.Errorf("hit medians = %v/%v, want positive", gaHits, rndHits)
+	}
+	if g := cmp.ConcentrationGain(); g <= 0 || math.IsNaN(g) {
+		t.Errorf("concentration gain = %v", g)
+	}
+	for _, b := range cmp.GABest {
+		if b < 9000 {
+			t.Errorf("GA best %v below threshold against unequipped", b)
+		}
+	}
+}
+
+func TestComparisonResultEdgeCases(t *testing.T) {
+	empty := core.ComparisonResult{}
+	gaFirst, rndFirst := empty.MedianFirst()
+	if gaFirst != -1 || rndFirst != -1 {
+		t.Errorf("empty medians = %v/%v, want -1/-1", gaFirst, rndFirst)
+	}
+	if g := empty.ConcentrationGain(); g != 1 {
+		t.Errorf("empty gain = %v, want 1", g)
+	}
+	gaOnly := core.ComparisonResult{GAHits: []float64{5}, RandomHits: []float64{0}}
+	if g := gaOnly.ConcentrationGain(); !math.IsInf(g, 1) {
+		t.Errorf("gain with zero random hits = %v, want +Inf", g)
+	}
+	both := core.ComparisonResult{GAHits: []float64{30}, RandomHits: []float64{10}}
+	if g := both.ConcentrationGain(); g != 3 {
+		t.Errorf("gain = %v, want 3", g)
+	}
+	// Add scores one repetition's logs against the threshold.
+	var c core.ComparisonResult
+	c.Threshold = 100
+	c.Add([]ga.Evaluation{{Fitness: 10}, {Fitness: 150}, {Fitness: 200}}, []ga.Evaluation{{Fitness: 50}})
+	if c.Seeds != 1 || c.GAHits[0] != 2 || c.RandomHits[0] != 0 || c.GABest[0] != 200 ||
+		c.RandomBest[0] != 50 || len(c.GAFirst) != 1 || c.GAFirst[0] != 2 || len(c.RandomFirst) != 0 {
+		t.Errorf("Add recorded %+v", c)
 	}
 }
 
@@ -254,111 +322,13 @@ func TestEvaluationsToReach(t *testing.T) {
 	evals := []ga.Evaluation{
 		{Fitness: 10}, {Fitness: 50}, {Fitness: 200}, {Fitness: 100},
 	}
-	if got := EvaluationsToReach(evals, 100); got != 3 {
-		t.Errorf("EvaluationsToReach = %d, want 3", got)
+	if got := core.EvaluationsToReach(evals, 100); got != 3 {
+		t.Errorf("core.EvaluationsToReach = %d, want 3", got)
 	}
-	if got := EvaluationsToReach(evals, 1e9); got != -1 {
+	if got := core.EvaluationsToReach(evals, 1e9); got != -1 {
 		t.Errorf("unreachable threshold = %d, want -1", got)
 	}
-	if got := EvaluationsToReach(nil, 0); got != -1 {
+	if got := core.EvaluationsToReach(nil, 0); got != -1 {
 		t.Errorf("empty log = %d, want -1", got)
-	}
-}
-
-func TestTallyAndDominant(t *testing.T) {
-	found := []Found{
-		{Geometry: encounter.Geometry{Category: encounter.TailApproach, VerticallyOpposed: true}},
-		{Geometry: encounter.Geometry{Category: encounter.TailApproach}},
-		{Geometry: encounter.Geometry{Category: encounter.HeadOn}},
-		{Geometry: encounter.Geometry{Category: encounter.Crossing}},
-	}
-	tally := Tally(found)
-	if tally.TailApproach != 2 || tally.HeadOn != 1 || tally.Crossing != 1 {
-		t.Errorf("tally = %+v", tally)
-	}
-	if tally.VerticallyOpposed != 1 {
-		t.Errorf("vertically opposed = %d", tally.VerticallyOpposed)
-	}
-	if tally.Dominant() != encounter.TailApproach {
-		t.Errorf("dominant = %v", tally.Dominant())
-	}
-	if tally.String() == "" {
-		t.Error("empty tally string")
-	}
-	if got := Tally(nil).Total; got != 0 {
-		t.Errorf("empty tally total = %d", got)
-	}
-}
-
-func TestClusterEvaluations(t *testing.T) {
-	ranges := encounter.DefaultRanges()
-	// Two well-separated synthetic groups: low-speed and high-speed
-	// encounters.
-	var evals []ga.Evaluation
-	mk := func(gso float64, fit float64) ga.Evaluation {
-		p := encounter.PresetHeadOn()
-		p.OwnGroundSpeed = gso
-		p.IntruderGroundSpeed = gso
-		return ga.Evaluation{Genome: p.Vector(), Fitness: fit}
-	}
-	for i := 0; i < 10; i++ {
-		evals = append(evals, mk(22+float64(i)*0.2, 9000))
-		evals = append(evals, mk(57+float64(i)*0.2, 5000))
-	}
-	clusters, err := ClusterEvaluations(ranges, evals, 2, 1000, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(clusters) != 2 {
-		t.Fatalf("got %d clusters, want 2", len(clusters))
-	}
-	// Sorted by mean fitness: first cluster is the 9000 group (slow).
-	if clusters[0].MeanFitness < clusters[1].MeanFitness {
-		t.Error("clusters not sorted by fitness")
-	}
-	slow := clusters[0].Center.OwnGroundSpeed
-	fast := clusters[1].Center.OwnGroundSpeed
-	if math.Abs(slow-23) > 3 || math.Abs(fast-58) > 3 {
-		t.Errorf("cluster centers %v / %v, want ~23 / ~58", slow, fast)
-	}
-	if len(clusters[0].Members)+len(clusters[1].Members) != 20 {
-		t.Error("members lost")
-	}
-}
-
-func TestClusterEvaluationsErrors(t *testing.T) {
-	ranges := encounter.DefaultRanges()
-	if _, err := ClusterEvaluations(ranges, nil, 0, 0, 1); err == nil {
-		t.Error("k=0 accepted")
-	}
-	if _, err := ClusterEvaluations(ranges, nil, 2, 0, 1); err == nil {
-		t.Error("empty evaluations accepted")
-	}
-	evals := []ga.Evaluation{{Genome: encounter.PresetHeadOn().Vector(), Fitness: 10}}
-	if _, err := ClusterEvaluations(ranges, evals, 2, 100, 1); err == nil {
-		t.Error("all-below-threshold accepted")
-	}
-	// k larger than points: clamps.
-	clusters, err := ClusterEvaluations(ranges, evals, 5, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(clusters) != 1 {
-		t.Errorf("got %d clusters, want 1", len(clusters))
-	}
-}
-
-func TestReportTop(t *testing.T) {
-	found := []Found{{
-		Params:  encounter.PresetTailApproach(),
-		Fitness: 9500,
-		Geometry: encounter.Geometry{
-			Category:          encounter.TailApproach,
-			VerticallyOpposed: true,
-		},
-	}}
-	out := ReportTop(found)
-	if out == "" || len(out) < 20 {
-		t.Errorf("report too short: %q", out)
 	}
 }

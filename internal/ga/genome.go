@@ -1,7 +1,9 @@
 // Package ga is a real-vector genetic algorithm framework filling the role
-// ECJ plays in the paper's tool chain: population-based evolutionary search
-// with configurable selection, crossover, mutation and elitism, driven by a
-// parameter file, with parallel fitness evaluation.
+// ECJ plays in the paper's tool chain: the operators of population-based
+// evolutionary search — configurable selection, crossover, mutation and
+// elitism (Breed), per-generation statistics (Summarize) — driven by a
+// parameter file. The generational loop and the fitness evaluation live in
+// internal/search, whose engine runs one loop per island.
 //
 // "GAs are population-based evolutionary search methods ... the initial
 // population is set up with n individuals ... each individual of the

@@ -31,11 +31,33 @@ type IslandStats struct {
 	Island int
 	// Stats are the island's generation statistics.
 	Stats ga.GenerationStats
+	// Population is the island's evaluated population at the generation
+	// barrier (index i is individual i) — the points Fig. 6 scatters. It
+	// aliases engine state: read or copy it inside the observer call, since
+	// migration may overwrite slots once the observer returns.
+	Population ga.Population
 }
 
 // Observer receives per-generation progress, islands in order. It runs on
 // the coordinator goroutine between generations; keep it fast.
 type Observer func(IslandStats)
+
+// LogEvaluations returns an Observer appending every reported individual
+// to *log as one ga.Evaluation (genome copied), islands in order within
+// each generation: the evaluation log Fig. 6 scatters and the section VII
+// analysis reads.
+func LogEvaluations(log *[]ga.Evaluation) Observer {
+	return func(is IslandStats) {
+		for i, ind := range is.Population {
+			*log = append(*log, ga.Evaluation{
+				Generation: is.Stats.Generation,
+				Index:      i,
+				Genome:     append([]float64(nil), ind.Genome...),
+				Fitness:    ind.Fitness,
+			})
+		}
+	}
+}
 
 // Options control one Run invocation (everything that is not part of the
 // reproducible search definition).
@@ -323,7 +345,7 @@ func (e *engine) step(ctx context.Context, gen int, factory core.SystemFactory, 
 		}
 		e.evals += counts[isl.id]
 		if opts.Observer != nil {
-			opts.Observer(IslandStats{Island: isl.id, Stats: gs})
+			opts.Observer(IslandStats{Island: isl.id, Stats: gs, Population: isl.pop})
 		}
 	}
 	e.nextGen = gen + 1
@@ -367,7 +389,7 @@ func (e *engine) evaluateIsland(ctx context.Context, isl *island, gen int, facto
 		m, err := encounter.MultiFromVector(genome[:e.geomLen])
 		if err != nil {
 			// A corrupt genome scores zero instead of halting a long
-			// search (mirrors core.Evaluator.Evaluate).
+			// search.
 			isl.pop[i].Fitness = 0
 			isl.pop[i].Evaluated = true
 			continue
@@ -390,7 +412,7 @@ func (e *engine) evaluateIsland(ctx context.Context, isl *island, gen int, facto
 			fit.Run.Faults = fp
 			faultGenes = fault.Genes(fp)
 		}
-		fitness, est, err := evaluateEncounter(ctx, m, seed, fit, factory, e.episodeWorkers, &isl.scratch)
+		fitness, est, err := EvaluateEncounter(ctx, m, seed, fit, factory, e.episodeWorkers, &isl.scratch)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -418,19 +440,22 @@ func (e *engine) evaluateIsland(ctx context.Context, isl *island, gen int, facto
 	return cands, evals, nil
 }
 
-// evaluateEncounter scores one encounter through the Monte-Carlo harness:
-// the genome's fixed scenario replayed SimsPerEncounter times with
-// seed-derived stochastic dynamics and sensor noise, scored by the paper's
-// fitness = gain * mean(1 / (1 + d_k)). episodeWorkers is the per-batch
-// episode parallelism layered on top of the island goroutines.
-func evaluateEncounter(ctx context.Context, m encounter.MultiParams, seed uint64, fit core.FitnessConfig, factory core.SystemFactory, episodeWorkers int, scratch *montecarlo.Scratch) (float64, *montecarlo.Estimate, error) {
+// EvaluateEncounter is the search's fitness function: one encounter scored
+// through the Monte-Carlo harness, its fixed scenario replayed
+// SimsPerEncounter times with seed-derived stochastic dynamics and sensor
+// noise, scored by the paper's fitness = gain * mean(1 / (1 + d_k)) (d_k
+// forced to 0 on an NMAC). The estimate carries the NMAC count, alert rate
+// and mean separation behind the score. episodeWorkers is the episode
+// parallelism (0 = NumCPU; the result is identical for any count); scratch
+// may be nil.
+func EvaluateEncounter(ctx context.Context, m encounter.MultiParams, seed uint64, fit core.FitnessConfig, factory core.SystemFactory, episodeWorkers int, scratch *montecarlo.Scratch) (float64, *montecarlo.Estimate, error) {
 	cfg := montecarlo.Config{
 		Samples:     fit.SimsPerEncounter,
 		Run:         fit.Run,
 		Seed:        seed,
 		Parallelism: episodeWorkers,
 	}
-	est, err := montecarlo.EvaluateMultiWithScratchContext(ctx, montecarlo.MultiPointModel(m), montecarlo.SystemFactory(factory), cfg, scratch)
+	est, err := montecarlo.EvaluateMultiWithScratchContext(ctx, montecarlo.MultiPointModel(m), factory, cfg, scratch)
 	if err != nil {
 		return 0, nil, err
 	}

@@ -317,12 +317,66 @@ seed = 99
 		t.Errorf("GA settings not parsed: %+v", s.GA)
 	}
 
+	// The run seed defaults to 1; a bad seed value is an error.
+	if s, err := FromConfig(config.New()); err != nil || s.Seed != 1 {
+		t.Errorf("default seed = %d (%v), want 1", s.Seed, err)
+	}
+	badSeed, err := config.Parse("seed = x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := FromConfig(badSeed); err == nil {
+		t.Error("FromConfig accepted a non-integer seed")
+	}
+
 	bad, err := config.Parse("search.islands = 0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := FromConfig(bad); err == nil {
 		t.Error("FromConfig accepted zero islands")
+	}
+}
+
+// TestObserverReportsPopulation: every island reports its evaluated
+// population at the barrier, islands in order, and LogEvaluations turns the
+// reports into one evaluation log whose per-report slices agree with the
+// statistics.
+func TestObserverReportsPopulation(t *testing.T) {
+	spec := testSpec()
+	var log []ga.Evaluation
+	logEvals := LogEvaluations(&log)
+	var order []int
+	res, err := Run(spec, testFactory, Options{Observer: func(is IslandStats) {
+		order = append(order, is.Stats.Generation*spec.Islands+is.Island)
+		if len(is.Population) != spec.GA.PopulationSize {
+			t.Fatalf("island %d reported %d individuals", is.Island, len(is.Population))
+		}
+		if got := ga.Summarize(is.Population, is.Stats.Generation); !reflect.DeepEqual(got, is.Stats) {
+			t.Fatalf("island %d generation %d: population disagrees with its stats", is.Island, is.Stats.Generation)
+		}
+		logEvals(is)
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, o := range order {
+		if o != i {
+			t.Fatalf("report %d came from slot %d; want generation-major, islands in order", i, o)
+		}
+	}
+	if want := spec.Islands * spec.GA.PopulationSize * spec.GA.Generations; len(log) != want {
+		t.Fatalf("log has %d entries, want %d", len(log), want)
+	}
+	best := log[0]
+	for _, e := range log {
+		if e.Fitness > best.Fitness {
+			best = e
+		}
+	}
+	if best.Fitness != res.Best.Fitness || best.Generation != res.Best.Generation {
+		t.Errorf("log best %v (generation %d), result best %v (generation %d)",
+			best.Fitness, best.Generation, res.Best.Fitness, res.Best.Generation)
 	}
 }
 

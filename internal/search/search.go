@@ -67,9 +67,7 @@ type Spec struct {
 	// classic pairwise search, bit for bit.
 	Intruders int
 	// GA configures each island's evolutionary loop. PopulationSize is
-	// per island; Generations is the shared generation budget. The Seed
-	// and Parallelism fields are ignored — Spec.Seed drives all random
-	// streams and the island is the unit of parallelism.
+	// per island; Generations is the shared generation budget.
 	GA ga.Params
 	// Fitness configures the per-encounter Monte-Carlo batch (the paper's
 	// 100 stochastic simulations averaged into one fitness value). Its
@@ -118,7 +116,6 @@ type Spec struct {
 func DefaultSpec() Spec {
 	gaParams := ga.DefaultParams()
 	gaParams.PopulationSize = 50
-	gaParams.RecordEvaluations = false
 	return Spec{
 		Name:               "search",
 		Islands:            4,
@@ -149,6 +146,21 @@ func (s Spec) GenomeLen() int {
 		n += fault.GeneCount
 	}
 	return n
+}
+
+// RandomBaseline returns the uniform random-search baseline of the spec at
+// a budget of n evaluations: the same search run for one generation on one
+// island of n individuals, without seed genomes. Generation 0 is uniform
+// over the genome bounds, so the baseline samples the GA's own search
+// space with the GA's own fitness — K-intruder and fault-evolving specs
+// included — and its evaluation log is the random arm of the section V
+// comparison.
+func (s Spec) RandomBaseline(n int) Spec {
+	s.Islands = 1
+	s.GA.PopulationSize = n
+	s.GA.Generations = 1
+	s.SeedGenomes = nil
+	return s
 }
 
 // geomLen is the geometry prefix of each genome: K pairwise blocks.
@@ -216,6 +228,7 @@ func (s Spec) Validate() error {
 // keys are those of ga.FromConfig (pop.size is the per-island population);
 // the search-specific keys (defaults from DefaultSpec):
 //
+//	seed                      the run seed (Spec.Seed)
 //	search.name
 //	search.islands
 //	search.intruders          intruder count K per evolved encounter
@@ -240,9 +253,12 @@ func FromConfig(c *config.Params) (Spec, error) {
 	if err != nil {
 		return s, err
 	}
-	gaParams.RecordEvaluations = false
 	s.GA = gaParams
-	s.Seed = gaParams.Seed
+	seed, err := c.IntOr("seed", int(s.Seed))
+	if err != nil {
+		return s, err
+	}
+	s.Seed = uint64(seed)
 	s.Name = c.StringOr("search.name", s.Name)
 	if s.Islands, err = c.IntOr("search.islands", s.Islands); err != nil {
 		return s, err
