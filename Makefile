@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: all build test lint bench bench-json sweep-demo rare-demo clean
+.PHONY: all build test lint perfbench bench bench-json sweep-demo rare-demo clean
 
-all: lint build test
+all: lint build test perfbench
 
 build:
 	$(GO) build ./...
@@ -16,6 +16,11 @@ lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "files need gofmt:" >&2; echo "$$out" >&2; exit 1; fi
 	$(GO) vet ./...
+
+# perfbench/ is its own module, outside ./...: vet and test it under
+# run.sh's hermetic env.
+perfbench:
+	cd perfbench && GOTOOLCHAIN=local GOPROXY=off GOWORK=off $(GO) vet . && GOTOOLCHAIN=local GOPROXY=off GOWORK=off $(GO) test .
 
 # One iteration of every benchmark: a smoke pass over the paper-figure
 # reproduction harness and the campaign engine.

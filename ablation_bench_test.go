@@ -13,7 +13,6 @@ import (
 	"acasxval/internal/core"
 	"acasxval/internal/ga"
 	"acasxval/internal/search"
-	"acasxval/internal/sim"
 	"acasxval/internal/stats"
 	"acasxval/internal/uav"
 )
@@ -22,9 +21,11 @@ import (
 func nmacRate(b *testing.B, p EncounterParams, mk func() (System, System), cfg RunConfig, n int, seed uint64) float64 {
 	b.Helper()
 	nmacs := 0
+	m := p.Multi()
 	own, intr := mk()
+	systems := []System{own, intr}
 	for k := 0; k < n; k++ {
-		res, err := RunEncounter(p, own, intr, cfg, stats.DeriveSeed(seed, k))
+		res, err := RunEncounter(m, systems, cfg, stats.DeriveSeed(seed, k))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -40,7 +41,7 @@ func nmacRate(b *testing.B, p EncounterParams, mk func() (System, System), cfg R
 // choices are the classic hazard.
 func BenchmarkAblationCoordination(b *testing.B) {
 	table := benchLogicTable(b)
-	mk := func() (System, System) { return NewACASXU(table), NewACASXU(table) }
+	mk := acasxFactory(b, table)
 	p := PresetHeadOn()
 	const n = 60
 	var with, without float64
@@ -59,7 +60,7 @@ func BenchmarkAblationCoordination(b *testing.B) {
 // filtered tracks under heavy sensor noise.
 func BenchmarkAblationTracker(b *testing.B) {
 	table := benchLogicTable(b)
-	mk := func() (System, System) { return NewACASXU(table), NewACASXU(table) }
+	mk := acasxFactory(b, table)
 	p := PresetHeadOn()
 	const n = 60
 	var filtered, raw float64
@@ -80,7 +81,7 @@ func BenchmarkAblationTracker(b *testing.B) {
 // reports the head-on NMAC rate at each.
 func BenchmarkAblationSensorNoise(b *testing.B) {
 	table := benchLogicTable(b)
-	mk := func() (System, System) { return NewACASXU(table), NewACASXU(table) }
+	mk := acasxFactory(b, table)
 	p := PresetHeadOn()
 	const n = 50
 	var r0, r10, r50 float64
@@ -103,7 +104,7 @@ func BenchmarkAblationSensorNoise(b *testing.B) {
 // BenchmarkAblationResponseDelay sweeps the maneuver response delay.
 func BenchmarkAblationResponseDelay(b *testing.B) {
 	table := benchLogicTable(b)
-	mk := func() (System, System) { return NewACASXU(table), NewACASXU(table) }
+	mk := acasxFactory(b, table)
 	p := PresetHeadOn()
 	const n = 50
 	var d0, d1, d5 float64
@@ -148,9 +149,7 @@ func BenchmarkAblationLookupMode(b *testing.B) {
 // problem at small scale: final-generation mean fitness per operator.
 func BenchmarkAblationGAOperators(b *testing.B) {
 	table := benchLogicTable(b)
-	factory := func() (sim.System, sim.System) {
-		return NewACASXU(table), NewACASXU(table)
-	}
+	factory := acasxFactory(b, table)
 	run := func(op ga.CrossoverOp, seed uint64) float64 {
 		spec := gaSpec(16, 3, 6)
 		spec.GA.Crossover = op
@@ -179,17 +178,10 @@ func BenchmarkAblationGAOperators(b *testing.B) {
 // (the paper's section IV POMDP question).
 func BenchmarkAblationBeliefExecutive(b *testing.B) {
 	table := benchLogicTable(b)
-	mkPoint := func() (System, System) { return NewACASXU(table), NewACASXU(table) }
-	mkBelief := func() (System, System) {
-		a, err := NewACASXUBelief(table, DefaultBeliefSigmas())
-		if err != nil {
-			b.Fatal(err)
-		}
-		c, err := NewACASXUBelief(table, DefaultBeliefSigmas())
-		if err != nil {
-			b.Fatal(err)
-		}
-		return a, c
+	mkPoint := acasxFactory(b, table)
+	mkBelief, err := NewSystemFactory(SystemContext{Table: table}, SystemSpec{Name: "belief"})
+	if err != nil {
+		b.Fatal(err)
 	}
 	p := PresetHeadOn()
 	const n = 50
@@ -224,12 +216,8 @@ func BenchmarkAblationModelRevision(b *testing.B) {
 	var orig, rev float64
 	for i := 0; i < b.N; i++ {
 		cfg := DefaultRunConfig()
-		orig = nmacRate(b, p, func() (System, System) {
-			return NewACASXU(original), NewACASXU(original)
-		}, cfg, n, uint64(i)+1)
-		rev = nmacRate(b, p, func() (System, System) {
-			return NewACASXU(revised), NewACASXU(revised)
-		}, cfg, n, uint64(i)+1)
+		orig = nmacRate(b, p, acasxFactory(b, original), cfg, n, uint64(i)+1)
+		rev = nmacRate(b, p, acasxFactory(b, revised), cfg, n, uint64(i)+1)
 	}
 	b.ReportMetric(orig, "tail-NMAC-original")
 	b.ReportMetric(rev, "tail-NMAC-revised")
@@ -239,9 +227,7 @@ func BenchmarkAblationModelRevision(b *testing.B) {
 // variance-vs-cost trade of the paper's 100-run averaging.
 func BenchmarkAblationFitnessSims(b *testing.B) {
 	table := benchLogicTable(b)
-	factory := func() (sim.System, sim.System) {
-		return NewACASXU(table), NewACASXU(table)
-	}
+	factory := acasxFactory(b, table)
 	p := PresetTailApproach().Multi()
 	measure := func(k int, seed uint64) float64 {
 		cfg := core.DefaultFitnessConfig()

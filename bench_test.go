@@ -26,9 +26,7 @@ import (
 
 	"acasxval/internal/core"
 	"acasxval/internal/grid2d"
-	"acasxval/internal/montecarlo"
 	"acasxval/internal/search"
-	"acasxval/internal/sim"
 	"acasxval/internal/stats"
 )
 
@@ -51,6 +49,16 @@ func benchLogicTable(tb testing.TB) *Table {
 	return benchTable
 }
 
+// acasxFactory is the registry's ACAS XU pair factory over table.
+func acasxFactory(tb testing.TB, table *Table) SystemFactory {
+	tb.Helper()
+	f, err := NewSystemFactory(SystemContext{Table: table}, SystemSpec{Name: "acasx"})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return f
+}
+
 // BenchmarkFig5HeadOn (E1) simulates the paper's Fig. 5 scenario: a head-on
 // encounter resolved by coordinated climb/descend advisories. Reported
 // metrics: NMAC rate (want ~0) and mean minimum separation. One
@@ -62,15 +70,17 @@ func BenchmarkFig5HeadOn(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	p := PresetHeadOn()
-	own := NewACASXU(table)
-	intr := NewACASXU(table)
+	// The encounter and the systems slice are built once, outside the timed
+	// loop, so allocs/op is the episode's own steady state.
+	m := PresetHeadOn().Multi()
+	own, intr := acasxFactory(b, table)()
+	systems := []System{own, intr}
 	nmacs := 0
 	var sep stats.Accumulator
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := runner.Run(p, own, intr, uint64(i))
+		res, err := runner.Run(m, systems, uint64(i))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -101,9 +111,7 @@ func gaSpec(pop, gens, sims int) SearchSpec {
 // `cmd/casearch`.
 func BenchmarkFig6GASearch(b *testing.B) {
 	table := benchLogicTable(b)
-	factory := func() (sim.System, sim.System) {
-		return NewACASXU(table), NewACASXU(table)
-	}
+	factory := acasxFactory(b, table)
 	spec := gaSpec(20, 3, 10)
 	var firstMean, lastMean, best float64
 	b.ReportAllocs()
@@ -129,9 +137,7 @@ func BenchmarkFig6GASearch(b *testing.B) {
 // head-on encounters collide in fewer than 5 of 100.
 func BenchmarkFig7Fig8TailApproach(b *testing.B) {
 	table := benchLogicTable(b)
-	factory := func() (sim.System, sim.System) {
-		return NewACASXU(table), NewACASXU(table)
-	}
+	factory := acasxFactory(b, table)
 	fit := core.DefaultFitnessConfig()
 	fit.SimsPerEncounter = 100
 	var tailRate, headRate float64
@@ -201,9 +207,7 @@ func BenchmarkValueIterationFullTable(b *testing.B) {
 // for one generation of as many individuals as the GA evaluated.
 func BenchmarkGAVersusRandomSearch(b *testing.B) {
 	table := benchLogicTable(b)
-	factory := func() (sim.System, sim.System) {
-		return NewACASXU(table), NewACASXU(table)
-	}
+	factory := acasxFactory(b, table)
 	spec := gaSpec(15, 4, 8)
 	cmp := core.ComparisonResult{Threshold: 9000}
 	b.ResetTimer()
@@ -229,31 +233,29 @@ func BenchmarkGAVersusRandomSearch(b *testing.B) {
 // encounter model — the Monte-Carlo validation path of section IV.
 func BenchmarkMonteCarloRiskRatio(b *testing.B) {
 	table := benchLogicTable(b)
-	model := DefaultEncounterModel()
+	model := DefaultMultiEncounterModel(1)
 	mcCfg := DefaultMonteCarloConfig()
 	mcCfg.Samples = 200
-	factory := func() (sim.System, sim.System) {
-		return NewACASXU(table), NewACASXU(table)
-	}
+	factory := acasxFactory(b, table)
 	var ratio, pEquipped, pBase float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		mcCfg.Seed = uint64(i + 1)
-		unequipped, err := montecarlo.Evaluate(model, montecarlo.Unequipped, mcCfg)
+		baseline, err := EstimateRisk(model, unequipped, mcCfg, RareEventSpec{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		equipped, err := EstimateRisk(model, factory, mcCfg)
+		equipped, err := EstimateRisk(model, factory, mcCfg, RareEventSpec{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		r, err := RiskRatio(equipped, unequipped)
+		r, err := RiskRatio(equipped, baseline)
 		if err != nil {
 			b.Fatal(err)
 		}
 		ratio = r
 		pEquipped = equipped.PNMAC
-		pBase = unequipped.PNMAC
+		pBase = baseline.PNMAC
 	}
 	b.ReportMetric(ratio, "risk-ratio")
 	b.ReportMetric(pEquipped, "P-NMAC-equipped")
@@ -296,9 +298,7 @@ func BenchmarkCampaignSweep(b *testing.B) {
 // BENCH_<date>.json snapshots.
 func BenchmarkIslandSearch(b *testing.B) {
 	table := benchLogicTable(b)
-	factory := func() (sim.System, sim.System) {
-		return NewACASXU(table), NewACASXU(table)
-	}
+	factory := acasxFactory(b, table)
 	for _, islands := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("islands=%d", islands), func(b *testing.B) {
 			spec := DefaultSearchSpec()
@@ -348,7 +348,7 @@ func BenchmarkTableLookupHot(b *testing.B) {
 // harness. One op is one full menu sweep.
 func BenchmarkBackendComparison(b *testing.B) {
 	ctx := SystemContext{Table: benchLogicTable(b)}
-	model := PointEncounterModel(PresetHeadOn())
+	model := PointEncounterModel(PresetHeadOn().Multi())
 	cfg := DefaultMonteCarloConfig()
 	cfg.Samples = 200
 	names := SystemNames()
@@ -362,7 +362,7 @@ func BenchmarkBackendComparison(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			est, err := EstimateRisk(model, factory, cfg)
+			est, err := EstimateRisk(model, factory, cfg, RareEventSpec{})
 			if err != nil {
 				b.Fatal(err)
 			}

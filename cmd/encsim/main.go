@@ -127,7 +127,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	first, err := runner.RunMulti(m, systems, *seed)
+	first, err := runner.Run(m, systems, *seed)
 	if err != nil {
 		return err
 	}
@@ -169,7 +169,7 @@ func run() error {
 	nmacs, alerted := 0, 0
 	var sep stats.Accumulator
 	for i := 0; i < *runs; i++ {
-		res, err := runner.RunMulti(m, systems, stats.DeriveSeed(*seed, i))
+		res, err := runner.Run(m, systems, stats.DeriveSeed(*seed, i))
 		if err != nil {
 			return err
 		}

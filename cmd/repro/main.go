@@ -102,7 +102,7 @@ func (h *harness) e1HeadOn() error {
 	cfg := sim.DefaultRunConfig()
 	cfg.RecordTrajectory = true
 	own, intr := h.factory()
-	res, err := sim.RunEncounter(encounter.PresetHeadOn(), own, intr, cfg, h.seed)
+	res, err := sim.RunEncounter(encounter.PresetHeadOn().Multi(), []sim.System{own, intr}, cfg, h.seed)
 	if err != nil {
 		return err
 	}
@@ -187,7 +187,7 @@ func (h *harness) e3TailApproach() error {
 	cfg := fit.Run
 	cfg.RecordTrajectory = true
 	own, intr := h.factory()
-	res, err := sim.RunEncounter(encounter.PresetTailApproach(), own, intr, cfg, h.seed)
+	res, err := sim.RunEncounter(encounter.PresetTailApproach().Multi(), []sim.System{own, intr}, cfg, h.seed)
 	if err != nil {
 		return err
 	}
@@ -313,8 +313,8 @@ func (h *harness) e9ModelRevision() error {
 	measure := func(table *acasx.Table, p encounter.Params) (nmacs, alerted int) {
 		cfg := sim.DefaultRunConfig()
 		for k := 0; k < runs; k++ {
-			res, err := sim.RunEncounter(p,
-				sim.NewACASXU(table), sim.NewACASXU(table), cfg, stats.DeriveSeed(h.seed, k))
+			res, err := sim.RunEncounter(p.Multi(),
+				[]sim.System{sim.NewACASXU(table), sim.NewACASXU(table)}, cfg, stats.DeriveSeed(h.seed, k))
 			if err != nil {
 				panic(err)
 			}

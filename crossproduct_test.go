@@ -14,7 +14,6 @@ import (
 	"math"
 	"testing"
 
-	"acasxval/internal/montecarlo"
 	"acasxval/internal/search"
 )
 
@@ -52,7 +51,7 @@ func TestCrossProductSimulatesCleanly(t *testing.T) {
 					cfg.Coordination = exec.coordination
 
 					own, intruder := factory()
-					res, err := RunEncounter(preset, own, intruder, cfg, 42)
+					res, err := RunEncounter(preset.Multi(), []System{own, intruder}, cfg, 42)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -65,12 +64,12 @@ func TestCrossProductSimulatesCleanly(t *testing.T) {
 
 					// The Monte-Carlo risk numbers for the same fixed
 					// scenario must be finite and in range too.
-					est, err := montecarlo.Evaluate(montecarlo.PointModel(preset),
-						montecarlo.SystemFactory(factory), montecarlo.Config{
+					est, err := EstimateRisk(PointEncounterModel(preset.Multi()),
+						SystemFactory(factory), MonteCarloConfig{
 							Samples: 4,
 							Run:     cfg,
 							Seed:    7,
-						})
+						}, RareEventSpec{})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -109,11 +108,11 @@ func TestCrossProductSimulatesCleanly(t *testing.T) {
 					if loaded[0].Geometry != wantLabel {
 						t.Errorf("stored geometry label %q, want %q", loaded[0].Geometry, wantLabel)
 					}
-					p, err := loaded[0].EncounterParams()
+					m, err := loaded[0].MultiEncounterParams()
 					if err != nil {
 						t.Fatal(err)
 					}
-					if got := Classify(p).Category.String(); got != wantLabel {
+					if got := ClassifyMulti(m).Category.String(); got != wantLabel {
 						t.Errorf("reloaded params classify as %q, want %q", got, wantLabel)
 					}
 				})

@@ -17,10 +17,10 @@
 //     registry — NewSystem(ctx, SystemSpec{Name: "mpc", Params: ...}) —
 //     SystemNames enumerates the menu, LookupSystem documents each
 //     backend's parameters, and RegisterSystem extends the menu so
-//     campaigns and CLIs pick up new methods without modification. All
-//     backends speak the engine's multi-intruder AvoidanceSystem contract
-//     (DecideTracks over every surveilled threat per cycle); AdaptSystem
-//     lifts classic pairwise systems onto it bit-identically.
+//     campaigns and CLIs pick up new methods without modification. A
+//     backend implements one decision contract, System.DecideTracks over
+//     every surveilled threat per cycle (plus the single-track Decide);
+//     a pairwise encounter hands it one track.
 //
 //   - The paper's contribution: a Genetic-Algorithm-based search for
 //     challenging encounter situations where the generated logic performs
@@ -56,17 +56,17 @@
 // (one island by default, -islands N for more); examples/adversarial walks
 // the loop end to end.
 //
-// Encounters are not limited to the paper's pairwise geometry: every
-// layer accepts one-ownship, K-intruder scenarios (MultiEncounterParams —
-// K pairwise parameter blocks sharing the ownship state, so the genome is
-// K*9 genes and K = 1 is bit-identical to the classic path).
-// RunMultiEncounter simulates all K conflicts in one closed-loop world,
-// equipped executives query the logic table per intruder and fuse
-// advisories most-restrictive-first, and monitors score the minimum over
-// every ownship-intruder pair. Three multi-intruder presets ship
-// (MultiPresetConvergingPair, MultiPresetCrossingStream,
+// There is one encounter shape: one ownship and K intruders
+// (MultiEncounterParams — K pairwise parameter blocks sharing the ownship
+// state, so the genome is K*9 genes). K = 1 is the paper's pairwise
+// encounter (EncounterParams.Multi, DefaultMultiEncounterModel(1)).
+// RunEncounter (or a reused EncounterRunner) simulates all K conflicts in
+// one closed-loop world, equipped executives query the logic table per
+// intruder and fuse advisories most-restrictive-first, and monitors score
+// the minimum over every ownship-intruder pair. Three multi-intruder
+// presets ship (MultiPresetConvergingPair, MultiPresetCrossingStream,
 // MultiPresetSandwich; MultiEncounterPreset resolves them and every
-// pairwise preset by name), EstimateMultiRisk evaluates a K-intruder
+// pairwise preset by name), EstimateRisk evaluates any K-intruder
 // statistical airspace (DefaultMultiEncounterModel), campaign specs mix
 // pairwise and multi presets on one scenario axis (campaign.intruders
 // widens model draws), and the island search evolves K-block genomes
@@ -97,7 +97,7 @@
 //
 // Where brute-force Monte Carlo runs out — certifying probabilities far
 // smaller than 1/samples — a rare-event estimator family takes over
-// behind one switch (EstimateRareRisk, RareEventSpec, RareEventMethods):
+// behind one switch (EstimateRisk's RareEventSpec, RareEventMethods):
 // importance sampling from a defensive mixture whose kernels center on
 // danger-archive genomes (ArchiveProposalKernels turns the adversarial
 // search's failure region into the proposal; "is" is unbiased, "snis"
@@ -130,10 +130,11 @@
 // Quick start:
 //
 //	table, _ := acasxval.BuildLogicTable(acasxval.DefaultTableConfig())
-//	res, _ := acasxval.RunEncounter(
-//	    acasxval.PresetHeadOn(),
-//	    acasxval.NewACASXU(table), acasxval.NewACASXU(table),
-//	    acasxval.DefaultRunConfig(), 42)
+//	acasx, _ := acasxval.NewSystemFactory(
+//	    acasxval.SystemContext{Table: table}, acasxval.SystemSpec{Name: "acasx"})
+//	own, intruder := acasx()
+//	res, _ := acasxval.RunEncounter(acasxval.PresetHeadOn().Multi(),
+//	    []acasxval.System{own, intruder}, acasxval.DefaultRunConfig(), 42)
 //	fmt.Println(res.NMAC, res.MinSeparation)
 //
 // See the examples directory for runnable programs and EXPERIMENTS.md for

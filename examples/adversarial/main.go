@@ -73,16 +73,9 @@ func run() error {
 	search.Seed = 5
 	search.SeedGenomes = seeds
 
-	factory := func() (acasxval.System, acasxval.System) {
-		a, err := acasxval.NewSVO(acasxval.DefaultSVOConfig())
-		if err != nil {
-			panic(err) // default config is statically valid
-		}
-		b, err := acasxval.NewSVO(acasxval.DefaultSVOConfig())
-		if err != nil {
-			panic(err)
-		}
-		return a, b
+	factory, err := acasxval.NewSystemFactory(acasxval.SystemContext{}, acasxval.SystemSpec{Name: "svo"})
+	if err != nil {
+		return err
 	}
 
 	fmt.Printf("2. island search: %d islands x %d individuals, %d seed genomes from the sweep\n",

@@ -27,7 +27,7 @@ func main() {
 
 	// One preset geometry, replayed under stochastic dynamics and sensor
 	// noise: the same cell every backend of a campaign sweep faces.
-	preset := acasxval.PresetHeadOn()
+	model := acasxval.PointEncounterModel(acasxval.PresetHeadOn().Multi())
 	cfg := acasxval.DefaultMonteCarloConfig()
 	cfg.Samples = 400 // example scale
 	cfg.Seed = 7
@@ -45,7 +45,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		est, err := acasxval.EstimateRisk(acasxval.PointEncounterModel(preset), factory, cfg)
+		est, err := acasxval.EstimateRisk(model, factory, cfg, acasxval.RareEventSpec{})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -80,7 +80,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	est, err := acasxval.EstimateRisk(acasxval.PointEncounterModel(preset), wide, cfg)
+	est, err := acasxval.EstimateRisk(model, wide, cfg, acasxval.RareEventSpec{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -74,16 +74,9 @@ func run() error {
 	search.EvolveFaults = true
 	search.FaultPenalty = 200
 
-	factory := func() (acasxval.System, acasxval.System) {
-		a, err := acasxval.NewSVO(acasxval.DefaultSVOConfig())
-		if err != nil {
-			panic(err) // default config is statically valid
-		}
-		b, err := acasxval.NewSVO(acasxval.DefaultSVOConfig())
-		if err != nil {
-			panic(err)
-		}
-		return a, b
+	factory, err := acasxval.NewSystemFactory(acasxval.SystemContext{}, acasxval.SystemSpec{Name: "svo"})
+	if err != nil {
+		return err
 	}
 
 	fmt.Printf("\n2. co-evolving search: %d islands x %d individuals, genome = geometry + %d fault genes\n",

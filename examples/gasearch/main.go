@@ -12,7 +12,6 @@ import (
 	"acasxval"
 	"acasxval/internal/core"
 	"acasxval/internal/ga"
-	"acasxval/internal/sim"
 	"acasxval/internal/viz"
 )
 
@@ -23,8 +22,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	factory := func() (sim.System, sim.System) {
-		return acasxval.NewACASXU(table), acasxval.NewACASXU(table)
+	factory, err := acasxval.NewSystemFactory(acasxval.SystemContext{Table: table}, acasxval.SystemSpec{Name: "acasx"})
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	spec := acasxval.DefaultSearchSpec()

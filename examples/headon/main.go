@@ -22,12 +22,16 @@ func main() {
 		log.Fatal(err)
 	}
 
+	factory, err := acasxval.NewSystemFactory(acasxval.SystemContext{Table: table}, acasxval.SystemSpec{Name: "acasx"})
+	if err != nil {
+		log.Fatal(err)
+	}
+	own, intruder := factory()
+
 	runCfg := acasxval.DefaultRunConfig()
 	runCfg.RecordTrajectory = true
-	res, err := acasxval.RunEncounter(
-		acasxval.PresetHeadOn(),
-		acasxval.NewACASXU(table), acasxval.NewACASXU(table),
-		runCfg, 7)
+	res, err := acasxval.RunEncounter(acasxval.PresetHeadOn().Multi(),
+		[]acasxval.System{own, intruder}, runCfg, 7)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -23,6 +23,11 @@ func main() {
 		log.Fatal(err)
 	}
 
+	ctx := acasxval.SystemContext{Table: table}
+	acasx, err := acasxval.NewSystem(ctx, acasxval.SystemSpec{Name: "acasx"})
+	if err != nil {
+		log.Fatal(err)
+	}
 	cfg := acasxval.DefaultRunConfig()
 	for _, name := range acasxval.MultiEncounterPresetNames() {
 		m, err := acasxval.MultiEncounterPreset(name)
@@ -39,7 +44,7 @@ func main() {
 		for i := range unequipped {
 			unequipped[i] = acasxval.NoAvoidance()
 		}
-		base, err := acasxval.RunMultiEncounter(m, unequipped, cfg, 7)
+		base, err := acasxval.RunEncounter(m, unequipped, cfg, 7)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -49,11 +54,11 @@ func main() {
 		// most-restrictive-first, so an escape that trades one conflict
 		// for another is vetoed by the second threat's action values.
 		equipped := make([]acasxval.System, k+1)
-		equipped[0] = acasxval.NewACASXU(table)
+		equipped[0] = acasx
 		for i := 1; i <= k; i++ {
 			equipped[i] = acasxval.NoAvoidance()
 		}
-		res, err := acasxval.RunMultiEncounter(m, equipped, cfg, 7)
+		res, err := acasxval.RunEncounter(m, equipped, cfg, 7)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -70,13 +75,19 @@ func main() {
 	mcCfg := acasxval.DefaultMonteCarloConfig()
 	mcCfg.Samples = 400
 	model := acasxval.DefaultMultiEncounterModel(2)
-	baseline, err := acasxval.EstimateMultiRisk(model, acasxval.Unequipped, mcCfg)
+	none, err := acasxval.NewSystemFactory(ctx, acasxval.SystemSpec{Name: "none"})
 	if err != nil {
 		log.Fatal(err)
 	}
-	equippedEst, err := acasxval.EstimateMultiRisk(model, func() (acasxval.System, acasxval.System) {
-		return acasxval.NewACASXU(table), acasxval.NewACASXU(table)
-	}, mcCfg)
+	baseline, err := acasxval.EstimateRisk(model, none, mcCfg, acasxval.RareEventSpec{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	equipped, err := acasxval.NewSystemFactory(ctx, acasxval.SystemSpec{Name: "acasx"})
+	if err != nil {
+		log.Fatal(err)
+	}
+	equippedEst, err := acasxval.EstimateRisk(model, equipped, mcCfg, acasxval.RareEventSpec{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -24,10 +24,15 @@ func main() {
 
 	// 2. Online: equip two UAVs with the generated logic and simulate the
 	//    paper's Fig. 5 head-on geometry.
-	res, err := acasxval.RunEncounter(
-		acasxval.PresetHeadOn(),
-		acasxval.NewACASXU(table), acasxval.NewACASXU(table),
-		acasxval.DefaultRunConfig(), 42)
+	//    A pairwise encounter is the one-intruder case: p.Multi() plus one
+	//    system per aircraft.
+	factory, err := acasxval.NewSystemFactory(acasxval.SystemContext{Table: table}, acasxval.SystemSpec{Name: "acasx"})
+	if err != nil {
+		log.Fatal(err)
+	}
+	own, intruder := factory()
+	res, err := acasxval.RunEncounter(acasxval.PresetHeadOn().Multi(),
+		[]acasxval.System{own, intruder}, acasxval.DefaultRunConfig(), 42)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -40,8 +45,8 @@ func main() {
 
 	// 3. Baseline: the same encounter unequipped collides.
 	none := acasxval.NoAvoidance()
-	base, err := acasxval.RunEncounter(acasxval.PresetHeadOn(), none, none,
-		acasxval.DefaultRunConfig(), 42)
+	base, err := acasxval.RunEncounter(acasxval.PresetHeadOn().Multi(),
+		[]acasxval.System{none, none}, acasxval.DefaultRunConfig(), 42)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -30,11 +30,16 @@ func main() {
 	// 1. Hostile airspace: the default model concentrates encounters near
 	// conflict; widening the CPA miss-distance priors makes the NMAC a
 	// rare event worth an estimator beyond brute force.
-	model := acasxval.DefaultEncounterModel()
-	model.HorizontalMissDistance = montecarlo.Uniform{Min: 0, Max: 8000}
-	model.VerticalMissDistance = montecarlo.Uniform{Min: -400, Max: 400}
-	model.Ranges.HorizontalMissDistance = encounter.Range{Min: 0, Max: 8000}
-	model.Ranges.VerticalMissDistance = encounter.Range{Min: -400, Max: 400}
+	wide := acasxval.DefaultEncounterModel()
+	wide.HorizontalMissDistance = montecarlo.Uniform{Min: 0, Max: 8000}
+	wide.VerticalMissDistance = montecarlo.Uniform{Min: -400, Max: 400}
+	wide.Ranges.HorizontalMissDistance = encounter.Range{Min: 0, Max: 8000}
+	wide.Ranges.VerticalMissDistance = encounter.Range{Min: -400, Max: 400}
+	model := acasxval.MultiEncounterModel{Intruders: []acasxval.EncounterModel{wide}}
+	unequipped, err := acasxval.NewSystemFactory(acasxval.SystemContext{}, acasxval.SystemSpec{Name: "none"})
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	// Danger-archive-style kernels in genome order
 	// {Gs_o, Vs_o, T, R, theta, Y, Gs_i, psi_i, Vs_i}: agreement on small
@@ -51,7 +56,7 @@ func main() {
 	cfg.Samples = 12000
 
 	// 2. Brute-force reference at the full budget.
-	brute, err := acasxval.EstimateRisk(model, acasxval.Unequipped, cfg)
+	brute, err := acasxval.EstimateRisk(model, unequipped, cfg, acasxval.RareEventSpec{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -72,7 +77,7 @@ func main() {
 		spec.Bandwidth = 0.02
 		spec.Levels = []float64{800, 400, 160}
 		spec.Moves = 4
-		est, err := acasxval.EstimateRareRisk(model, acasxval.Unequipped, cfg, spec)
+		est, err := acasxval.EstimateRisk(model, unequipped, cfg, spec)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package acasxval
 
 import (
+	"context"
 	"io"
 
 	"acasxval/internal/acasx"
@@ -13,7 +14,6 @@ import (
 	"acasxval/internal/montecarlo"
 	"acasxval/internal/search"
 	"acasxval/internal/sim"
-	"acasxval/internal/svo"
 	"acasxval/internal/sys"
 )
 
@@ -32,13 +32,13 @@ type (
 	Logic = acasx.Logic
 	// SenseMask restricts advisory senses (coordination constraints).
 	SenseMask = acasx.SenseMask
-	// BeliefSigmas parameterize the QMDP belief-weighted executive.
-	BeliefSigmas = acasx.BeliefSigmas
 
 	// EncounterParams are the paper's nine encounter parameters.
 	EncounterParams = encounter.Params
 	// MultiEncounterParams describe a one-ownship, K-intruder encounter:
 	// one pairwise EncounterParams per intruder sharing the ownship state.
+	// It is the one encounter shape every entry point takes; K=1
+	// (EncounterParams.Multi) is the paper's pairwise encounter.
 	MultiEncounterParams = encounter.MultiParams
 	// EncounterRanges bound the encounter search space.
 	EncounterRanges = encounter.Ranges
@@ -52,12 +52,10 @@ type (
 	RunResult = sim.Result
 	// TrajectoryPoint is one recorded trajectory sample.
 	TrajectoryPoint = sim.TrajectoryPoint
-	// System is a pluggable collision avoidance system under test.
+	// System is a pluggable collision avoidance system under test: its
+	// DecideTracks step resolves every tracked intruder in one decision
+	// cycle (one track in a pairwise encounter).
 	System = sim.System
-	// AvoidanceSystem is the multi-intruder-first decision contract the
-	// encounter engine consults; pairwise Systems are lifted onto it with
-	// AdaptSystem.
-	AvoidanceSystem = sim.AvoidanceSystem
 
 	// SystemSpec names a registered system backend and optionally
 	// overrides scalar parameters of its default configuration.
@@ -87,7 +85,7 @@ type (
 	EncounterModel = montecarlo.EncounterModel
 	// MultiEncounterModel is the K-intruder statistical encounter model:
 	// one pairwise EncounterModel per intruder, sampled onto a shared
-	// ownship state.
+	// ownship state. DefaultMultiEncounterModel(1) is the pairwise model.
 	MultiEncounterModel = montecarlo.MultiEncounterModel
 	// MonteCarloConfig parameterizes risk estimation.
 	MonteCarloConfig = montecarlo.Config
@@ -104,9 +102,6 @@ type (
 	Grid2DModel = grid2d.Model
 	// Grid2DTable is the section III generated logic table.
 	Grid2DTable = grid2d.LogicTable
-
-	// SVOConfig parameterizes the Selective Velocity Obstacle baseline.
-	SVOConfig = svo.Config
 
 	// FaultProfile declares a deterministic surveillance degradation
 	// condition: Gilbert-Elliott burst dropout, a hard detection-range
@@ -206,46 +201,9 @@ func SystemNames() []string { return sys.Names() }
 // parameter docs, table requirement).
 func LookupSystem(name string) (SystemBackend, bool) { return sys.Lookup(name) }
 
-// AdaptSystem lifts a pairwise System onto the engine's multi-intruder
-// AvoidanceSystem contract (systems already implementing it pass through).
-func AdaptSystem(s System) AvoidanceSystem { return sim.Adapt(s) }
-
-// NewACASXU equips an aircraft with the table-driven logic.
-//
-// Deprecated: use NewSystem(SystemContext{Table: table},
-// SystemSpec{Name: "acasx"}).
-func NewACASXU(table *Table) System { return sim.NewACASXU(table) }
-
-// NewACASXUBelief equips an aircraft with the QMDP belief-weighted
-// executive: advisory choice by expected Q value over a Gaussian state
-// belief (the paper's section IV POMDP question).
-//
-// Deprecated: use NewSystem(SystemContext{Table: table},
-// SystemSpec{Name: "belief"}) with sigma_h/sigma_rate/sigma_tau params.
-func NewACASXUBelief(table *Table, sigmas BeliefSigmas) (System, error) {
-	return sim.NewACASXUBelief(table, sigmas)
-}
-
-// DefaultBeliefSigmas matches the default filtered ADS-B error model.
-func DefaultBeliefSigmas() BeliefSigmas { return acasx.DefaultBeliefSigmas() }
-
-// NewSVO equips an aircraft with the Selective Velocity Obstacle baseline.
-//
-// Deprecated: use NewSystem(SystemContext{}, SystemSpec{Name: "svo"}).
-func NewSVO(cfg SVOConfig) (System, error) { return svo.New(cfg) }
-
-// DefaultSVOConfig returns the SVO baseline parameterization.
-func DefaultSVOConfig() SVOConfig { return svo.DefaultConfig() }
-
 // NoAvoidance returns the unequipped baseline system: it never commands.
 // It is stateless, so one value can equip any number of aircraft.
 func NoAvoidance() System { return sim.NoSystem{} }
-
-// Unequipped returns systems for aircraft with no collision avoidance.
-//
-// Deprecated: use NoAvoidance (one stateless value equips any aircraft) or
-// NewSystem(SystemContext{}, SystemSpec{Name: "none"}).
-func Unequipped() (System, System) { return sim.NoSystem{}, sim.NoSystem{} }
 
 // DefaultRunConfig returns the paper-style simulation configuration.
 func DefaultRunConfig() RunConfig { return sim.DefaultRunConfig() }
@@ -257,33 +215,27 @@ func FaultPreset(name string) (FaultProfile, error) { return fault.Preset(name) 
 // FaultPresetNames lists the degradation presets in a stable order.
 func FaultPresetNames() []string { return fault.PresetNames() }
 
-// RunEncounter simulates one encounter (deterministic under seed).
-// Callers running many episodes should hold an EncounterRunner and call
-// its Run method instead: it reuses the whole simulation world, while
-// RunEncounter rebuilds one per call.
-func RunEncounter(p EncounterParams, own, intruder System, cfg RunConfig, seed uint64) (RunResult, error) {
-	return sim.RunEncounter(p, own, intruder, cfg, seed)
+// RunEncounter simulates one encounter between the ownship and the
+// scenario's K intruders (deterministic under seed): systems[0] equips the
+// ownship, systems[j] intruder j (NoAvoidance for unequipped aircraft).
+// The ownship resolves all K threats per decision cycle; each intruder
+// avoids the ownship. For a pairwise encounter pass p.Multi() and two
+// systems. Callers running many episodes should hold an EncounterRunner
+// and call its Run method instead: it reuses the whole simulation world,
+// while RunEncounter rebuilds one per call.
+func RunEncounter(m MultiEncounterParams, systems []System, cfg RunConfig, seed uint64) (RunResult, error) {
+	return sim.RunEncounter(m, systems, cfg, seed)
 }
 
 // EncounterRunner is a reusable simulation world: fleet, trackers,
 // monitors and RNG streams persist across episodes, so steady-state
 // episode throughput is allocation-free. Results are bit-identical to
-// RunEncounter/RunMultiEncounter under the same seeds. Not safe for
-// concurrent use; each goroutine owns one.
+// RunEncounter under the same seeds. Not safe for concurrent use; each
+// goroutine owns one.
 type EncounterRunner = sim.Runner
 
 // NewEncounterRunner builds a reusable simulation world for cfg.
 func NewEncounterRunner(cfg RunConfig) (*EncounterRunner, error) { return sim.NewRunner(cfg) }
-
-// RunMultiEncounter simulates one encounter between the ownship and the
-// scenario's K intruders: systems[0] equips the ownship, systems[j]
-// intruder j (use Unequipped's systems for unequipped aircraft). The
-// ownship resolves all K threats per decision cycle, fusing per-intruder
-// logic queries most-restrictive-first when its system supports it. A
-// single-intruder call is bit-identical to RunEncounter.
-func RunMultiEncounter(m MultiEncounterParams, systems []System, cfg RunConfig, seed uint64) (RunResult, error) {
-	return sim.RunMultiEncounter(m, systems, cfg, seed)
-}
 
 // DefaultEncounterRanges returns the section VII search space.
 func DefaultEncounterRanges() EncounterRanges { return encounter.DefaultRanges() }
@@ -351,31 +303,34 @@ func DefaultEncounterModel() EncounterModel { return montecarlo.DefaultEncounter
 func DefaultMonteCarloConfig() MonteCarloConfig { return montecarlo.DefaultConfig() }
 
 // PointEncounterModel returns the degenerate encounter model that always
-// yields p: every episode replays the same geometry under fresh stochastic
-// dynamics and sensor noise — the campaign engine's per-cell view.
-func PointEncounterModel(p EncounterParams) EncounterModel { return montecarlo.PointModel(p) }
+// yields m (p.Multi() for a pairwise encounter): every episode replays the
+// same geometry under fresh stochastic dynamics and sensor noise — the
+// campaign engine's per-cell view.
+func PointEncounterModel(m MultiEncounterParams) MultiEncounterModel {
+	return montecarlo.MultiPointModel(m)
+}
 
 // EstimateRisk runs a Monte-Carlo risk estimation of one system
-// configuration against the encounter model. Episodes fan out over
-// cfg.Parallelism reusable simulation worlds (0 = NumCPU); every episode's
-// random streams derive counter-style from (cfg.Seed, episode index), so
-// the estimate is bit-identical for any worker count.
-func EstimateRisk(model EncounterModel, factory SystemFactory, cfg MonteCarloConfig) (*RiskEstimate, error) {
-	return montecarlo.Evaluate(model, factory, cfg)
+// configuration against a K-intruder encounter model
+// (DefaultMultiEncounterModel(1) is the pairwise airspace) with the
+// estimator that spec selects. The zero spec is brute force. Importance
+// sampling ("is", "snis") draws from a defensive mixture of the model and
+// the spec's kernels; multi-level splitting ("split") descends a
+// separation-level ladder; both report the effective sample size and the
+// variance-reduction factor against brute force at the same episode
+// budget. Episodes fan out over cfg.Parallelism reusable simulation worlds
+// (0 = NumCPU); every episode's random streams derive counter-style from
+// (cfg.Seed, episode index), so the estimate is bit-identical for any
+// worker count.
+func EstimateRisk(model MultiEncounterModel, factory SystemFactory, cfg MonteCarloConfig, spec RareEventSpec) (*RiskEstimate, error) {
+	return montecarlo.EvaluateContext(context.Background(), model, factory, cfg, spec, nil)
 }
 
 // DefaultMultiEncounterModel returns k independent copies of the default
-// airspace model sampled onto a shared ownship state per episode.
+// airspace model sampled onto a shared ownship state per episode; k=1 is
+// the pairwise model.
 func DefaultMultiEncounterModel(k int) MultiEncounterModel {
 	return montecarlo.DefaultMultiEncounterModel(k)
-}
-
-// EstimateMultiRisk is EstimateRisk against a K-intruder encounter model:
-// every episode samples one ownship plus K intruders and simulates all
-// pairwise conflicts in one closed-loop world. A single-intruder model
-// produces the exact estimate of EstimateRisk.
-func EstimateMultiRisk(model MultiEncounterModel, factory SystemFactory, cfg MonteCarloConfig) (*RiskEstimate, error) {
-	return montecarlo.EvaluateMulti(model, factory, cfg)
 }
 
 // RiskRatio is P(NMAC | equipped) / P(NMAC | unequipped).
@@ -398,23 +353,6 @@ func RareEventMethods() []string { return montecarlo.Methods() }
 // estimator toward the events it is trying to count.
 func ArchiveProposalKernels(entries []DangerArchiveEntry) ([][]float64, error) {
 	return search.ProposalKernels(entries)
-}
-
-// EstimateRareRisk estimates P(NMAC) with the rare-event estimator the spec
-// selects — importance sampling ("is", "snis") against a defensive mixture
-// of the model and the spec's kernels, or multi-level splitting ("split")
-// down a decreasing separation-level ladder. A brute-force (or empty)
-// method is exactly EstimateRisk. Estimates report the effective sample
-// size and the measured variance-reduction factor against a brute-force run
-// of the same episode budget, and are bit-identical for any worker count.
-func EstimateRareRisk(model EncounterModel, factory SystemFactory, cfg MonteCarloConfig, spec RareEventSpec) (*RiskEstimate, error) {
-	return montecarlo.EstimateRare(model, factory, cfg, spec)
-}
-
-// EstimateMultiRareRisk is EstimateRareRisk against a K-intruder encounter
-// model.
-func EstimateMultiRareRisk(model MultiEncounterModel, factory SystemFactory, cfg MonteCarloConfig, spec RareEventSpec) (*RiskEstimate, error) {
-	return montecarlo.EstimateRareMulti(model, factory, cfg, spec)
 }
 
 // DefaultCampaignSpec returns a campaign skeleton: every named preset

@@ -12,8 +12,10 @@ import (
 
 	"acasxval/internal/core"
 	"acasxval/internal/encounter"
+	"acasxval/internal/geom"
 	"acasxval/internal/grid2d"
 	"acasxval/internal/sim"
+	"acasxval/internal/uav"
 )
 
 var (
@@ -36,18 +38,26 @@ func facadeLogicTable(tb testing.TB) *Table {
 }
 
 func facadeFactory(tb testing.TB) SystemFactory {
-	table := facadeLogicTable(tb)
-	return func() (sim.System, sim.System) {
-		return NewACASXU(table), NewACASXU(table)
+	return acasxFactory(tb, facadeLogicTable(tb))
+}
+
+// unequipped is the no-avoidance pair factory.
+func unequipped() (System, System) { return NoAvoidance(), NoAvoidance() }
+
+// runPairwise flies the pairwise encounter p (the K=1 case) with a fresh
+// system pair from factory.
+func runPairwise(tb testing.TB, p EncounterParams, factory SystemFactory, cfg RunConfig, seed uint64) RunResult {
+	tb.Helper()
+	own, intr := factory()
+	res, err := RunEncounter(p.Multi(), []System{own, intr}, cfg, seed)
+	if err != nil {
+		tb.Fatal(err)
 	}
+	return res
 }
 
 func TestQuickstartFlow(t *testing.T) {
-	table := facadeLogicTable(t)
-	res, err := RunEncounter(PresetHeadOn(), NewACASXU(table), NewACASXU(table), DefaultRunConfig(), 42)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runPairwise(t, PresetHeadOn(), facadeFactory(t), DefaultRunConfig(), 42)
 	if res.NMAC {
 		t.Error("quickstart head-on collided")
 	}
@@ -73,14 +83,8 @@ func TestTableSaveLoadThroughFacade(t *testing.T) {
 	}
 	// A loaded table must drive the logic identically.
 	p := PresetHeadOn()
-	a, err := RunEncounter(p, NewACASXU(table), NewACASXU(table), DefaultRunConfig(), 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunEncounter(p, NewACASXU(loaded), NewACASXU(loaded), DefaultRunConfig(), 9)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := runPairwise(t, p, acasxFactory(t, table), DefaultRunConfig(), 9)
+	b := runPairwise(t, p, acasxFactory(t, loaded), DefaultRunConfig(), 9)
 	if a.MinSeparation != b.MinSeparation || a.NMAC != b.NMAC {
 		t.Error("loaded table behaves differently from built table")
 	}
@@ -126,19 +130,11 @@ func TestEndToEndSearchFindsTailApproaches(t *testing.T) {
 }
 
 func TestSVOThroughFacade(t *testing.T) {
-	svoSys, err := NewSVO(DefaultSVOConfig())
+	factory, err := NewSystemFactory(SystemContext{}, SystemSpec{Name: "svo"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	svoSys2, err := NewSVO(DefaultSVOConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := RunEncounter(PresetHeadOn(), svoSys, svoSys2, DefaultRunConfig(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.NMAC {
+	if res := runPairwise(t, PresetHeadOn(), factory, DefaultRunConfig(), 4); res.NMAC {
 		t.Error("SVO head-on collided")
 	}
 }
@@ -146,7 +142,7 @@ func TestSVOThroughFacade(t *testing.T) {
 func TestMonteCarloThroughFacade(t *testing.T) {
 	cfg := DefaultMonteCarloConfig()
 	cfg.Samples = 60
-	est, err := EstimateRisk(DefaultEncounterModel(), facadeFactory(t), cfg)
+	est, err := EstimateRisk(DefaultMultiEncounterModel(1), facadeFactory(t), cfg, RareEventSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +179,7 @@ func TestClassifyThroughFacade(t *testing.T) {
 
 func TestUnequippedFacade(t *testing.T) {
 	none := NoAvoidance()
-	res, err := RunEncounter(PresetHeadOn(), none, none, DefaultRunConfig(), 2)
+	res, err := RunEncounter(PresetHeadOn().Multi(), []System{none, none}, DefaultRunConfig(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,38 +191,29 @@ func TestUnequippedFacade(t *testing.T) {
 func TestNewSystemThroughFacade(t *testing.T) {
 	table := facadeLogicTable(t)
 	ctx := SystemContext{Table: table}
+	// A closing intruder 600 m ahead, slightly above: close enough for
+	// every equipped backend to alert.
+	own := uav.State{Pos: geom.Vec3{Z: 300}, Vel: geom.Velocity{Gs: 30}}
+	track := geom.Track{Pos: geom.Vec3{X: 600, Z: 310}, Vel: geom.Vec3{X: -28}}
 	for _, name := range SystemNames() {
-		sys, err := NewSystem(ctx, SystemSpec{Name: name})
+		a, err := NewSystem(ctx, SystemSpec{Name: name})
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
 			continue
 		}
-		// Every backend runs through the engine's multi-intruder contract.
-		if AdaptSystem(sys) == nil {
-			t.Errorf("%s: AdaptSystem returned nil", name)
+		b, err := NewSystem(ctx, SystemSpec{Name: name})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The engine's DecideTracks step must agree with the single-track
+		// Decide on a pairwise (one-track) cycle.
+		got := a.DecideTracks(0, own, []geom.Track{track}, sim.Constraint{})
+		want := b.Decide(0, own, track.Pos, track.Vel, sim.Constraint{})
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: DecideTracks %+v, Decide %+v", name, got, want)
 		}
 	}
 	if _, err := NewSystem(ctx, SystemSpec{Name: "bogus"}); err == nil {
 		t.Error("bogus system name constructed")
-	}
-}
-
-func TestNewSystemFactoryMatchesDeprecatedConstructors(t *testing.T) {
-	table := facadeLogicTable(t)
-	factory, err := NewSystemFactory(SystemContext{Table: table}, SystemSpec{Name: "acasx"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	own, intr := factory()
-	specRes, err := RunEncounter(PresetHeadOn(), own, intr, DefaultRunConfig(), 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oldRes, err := RunEncounter(PresetHeadOn(), NewACASXU(table), NewACASXU(table), DefaultRunConfig(), 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(specRes, oldRes) {
-		t.Error("spec-built acasx run differs from deprecated-constructor run")
 	}
 }

@@ -41,7 +41,7 @@ func TestFaultPresetsThroughFacade(t *testing.T) {
 }
 
 func TestFaultedEncounterThroughFacade(t *testing.T) {
-	table := facadeLogicTable(t)
+	factory := facadeFactory(t)
 	severe, err := FaultPreset("severe")
 	if err != nil {
 		t.Fatal(err)
@@ -50,24 +50,15 @@ func TestFaultedEncounterThroughFacade(t *testing.T) {
 	cfg.Faults = severe
 
 	// Deterministic: same profile, same seed, same bytes.
-	a, err := RunEncounter(PresetHeadOn(), NewACASXU(table), NewACASXU(table), cfg, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunEncounter(PresetHeadOn(), NewACASXU(table), NewACASXU(table), cfg, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := runPairwise(t, PresetHeadOn(), factory, cfg, 42)
+	b := runPairwise(t, PresetHeadOn(), factory, cfg, 42)
 	if !reflect.DeepEqual(a, b) {
 		t.Error("faulted runs with identical seeds diverge")
 	}
 
 	// The degradation must actually reach the closed loop: a clean run of
 	// the same encounter under the same seed behaves differently.
-	clean, err := RunEncounter(PresetHeadOn(), NewACASXU(table), NewACASXU(table), DefaultRunConfig(), 42)
-	if err != nil {
-		t.Fatal(err)
-	}
+	clean := runPairwise(t, PresetHeadOn(), factory, DefaultRunConfig(), 42)
 	if reflect.DeepEqual(a, clean) {
 		t.Error("severe degradation left the encounter outcome untouched")
 	}
@@ -84,12 +75,12 @@ func TestFaultedRiskEstimateThroughFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.Run.Faults = severe
-	faulted, err := EstimateRisk(DefaultEncounterModel(), factory, cfg)
+	faulted, err := EstimateRisk(DefaultMultiEncounterModel(1), factory, cfg, RareEventSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Run.Faults = FaultProfile{}
-	clean, err := EstimateRisk(DefaultEncounterModel(), factory, cfg)
+	clean, err := EstimateRisk(DefaultMultiEncounterModel(1), factory, cfg, RareEventSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -144,7 +144,7 @@ func TestRunDeterminism(t *testing.T) {
 	p := encounter.PresetHeadOn()
 	run := func() sim.Result {
 		t.Helper()
-		res, err := sim.RunEncounter(p, mustNew(t), mustNew(t), cfg, 13)
+		res, err := sim.RunEncounter(p.Multi(), []sim.System{mustNew(t), mustNew(t)}, cfg, 13)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -107,11 +107,11 @@ func TestExplicitScenarios(t *testing.T) {
 		if len(c.Params) != encounter.NumParams {
 			t.Fatalf("cell %d has %d params, want %d", c.Index, len(c.Params), encounter.NumParams)
 		}
-		p, err := c.EncounterParams()
+		m, err := c.MultiEncounterParams()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := encounter.Classify(p).Category.String(); got != c.Geometry {
+		if got := encounter.ClassifyMulti(m).Category.String(); got != c.Geometry {
 			t.Errorf("cell %d geometry %q does not match params classification %q", c.Index, c.Geometry, got)
 		}
 		if c.Scenario == "custom" {

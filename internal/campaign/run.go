@@ -112,13 +112,6 @@ type CellResult struct {
 	Params []float64 `json:"params"`
 }
 
-// EncounterParams decodes the record's parameter vector as a classic
-// pairwise encounter. It errors on multi-intruder cells (vector length
-// K*NumParams with K > 1); use MultiEncounterParams for those.
-func (c CellResult) EncounterParams() (encounter.Params, error) {
-	return encounter.FromVector(c.Params)
-}
-
 // MultiEncounterParams decodes the record's parameter vector as a
 // one-ownship, K-intruder encounter (the pairwise records decode as K = 1).
 func (c CellResult) MultiEncounterParams() (encounter.MultiParams, error) {
@@ -491,9 +484,9 @@ func runCell(ctx context.Context, spec Spec, c Cell, factory montecarlo.SystemFa
 		// for the same (system, variant).
 		es := spec.EstimatorSpec
 		es.Method = c.Estimator
-		return montecarlo.EstimateRareMultiWithScratchContext(ctx, spec.multiModel(), factory, cfg, es, scratch)
+		return montecarlo.EvaluateContext(ctx, spec.multiModel(), factory, cfg, es, scratch)
 	}
-	return montecarlo.EvaluateMultiWithScratchContext(ctx, montecarlo.MultiPointModel(c.Params), factory, cfg, scratch)
+	return montecarlo.EvaluateContext(ctx, montecarlo.MultiPointModel(c.Params), factory, cfg, montecarlo.RareEventSpec{}, scratch)
 }
 
 // summarize pools cells into per-(system, variant, fault) aggregates and

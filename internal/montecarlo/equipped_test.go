@@ -1,6 +1,7 @@
 package montecarlo
 
 import (
+	"context"
 	"testing"
 
 	"acasxval/internal/encounter"
@@ -75,7 +76,7 @@ func requireWorkerInvariant(t *testing.T, cfg Config, eval func(Config) (*Estima
 // The "exact" sub-benchmark name is kept so the gate still compares
 // against the checked-in BENCH_*.json snapshots.
 func BenchmarkEvaluateEquippedSteadyState(b *testing.B) {
-	model := PointModel(encounter.PresetHeadOn())
+	model := MultiPointModel(encounter.PresetHeadOn().Multi())
 	b.Run("exact", func(b *testing.B) {
 		factory := acasFactory(b)
 		cfg := DefaultConfig()
@@ -85,7 +86,7 @@ func BenchmarkEvaluateEquippedSteadyState(b *testing.B) {
 		scratch := &Scratch{}
 		b.ReportAllocs()
 		b.ResetTimer()
-		est, err := EvaluateWithScratch(model, factory, cfg, scratch)
+		est, err := EvaluateContext(context.Background(), model, factory, cfg, RareEventSpec{}, scratch)
 		if err != nil {
 			b.Fatal(err)
 		}

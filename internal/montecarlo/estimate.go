@@ -204,7 +204,7 @@ func (w *world) prepare(run sim.RunConfig, factory SystemFactory, k int) error {
 func (w *world) simulate(model *MultiEncounterModel, cfg *Config, i int, out []outcome) {
 	rng := w.rng.SeedChild(cfg.Seed, i)
 	m := model.SampleInto(rng, &w.buf, w.params)
-	res, err := w.runner.RunMulti(m, w.systems, stats.DeriveSeed(cfg.Seed^dynamicsSalt, i))
+	res, err := w.runner.Run(m, w.systems, stats.DeriveSeed(cfg.Seed^dynamicsSalt, i))
 	if err != nil {
 		out[i] = outcome{err: err}
 		return
@@ -217,56 +217,22 @@ func (w *world) simulate(model *MultiEncounterModel, cfg *Config, i int, out []o
 	}
 }
 
-// Evaluate estimates event probabilities for one system configuration
-// against the encounter model. Episodes are distributed over a worker pool;
-// the result is deterministic for a given seed and bit-identical for any
-// worker count.
+// Evaluate is EvaluateContext for a pairwise encounter model under brute
+// force: the one-intruder model wrapped as a K=1 MultiEncounterModel.
 func Evaluate(model EncounterModel, factory SystemFactory, cfg Config) (*Estimate, error) {
-	return EvaluateWithScratch(model, factory, cfg, nil)
+	return EvaluateContext(context.Background(), MultiEncounterModel{Intruders: []EncounterModel{model}}, factory, cfg, RareEventSpec{}, nil)
 }
 
-// EvaluateContext is Evaluate under a cancellation context (see
-// EvaluateMultiWithScratchContext for the cancellation contract).
-func EvaluateContext(ctx context.Context, model EncounterModel, factory SystemFactory, cfg Config) (*Estimate, error) {
-	return EvaluateWithScratchContext(ctx, model, factory, cfg, nil)
-}
-
-// EvaluateMulti estimates event probabilities against a multi-intruder
-// encounter model: every episode samples one ownship + K intruders and
-// simulates all pairwise conflicts in one closed-loop world. Determinism
-// and worker-count invariance match Evaluate's.
+// EvaluateMulti is EvaluateContext for a K-intruder encounter model under
+// brute force.
 func EvaluateMulti(model MultiEncounterModel, factory SystemFactory, cfg Config) (*Estimate, error) {
-	return EvaluateMultiWithScratch(model, factory, cfg, nil)
-}
-
-// EvaluateMultiContext is EvaluateMulti under a cancellation context.
-func EvaluateMultiContext(ctx context.Context, model MultiEncounterModel, factory SystemFactory, cfg Config) (*Estimate, error) {
-	return EvaluateMultiWithScratchContext(ctx, model, factory, cfg, nil)
+	return EvaluateContext(context.Background(), model, factory, cfg, RareEventSpec{}, nil)
 }
 
 // episodeBatch is how many consecutive episodes a worker claims per
 // counter fetch: large enough to keep contention on the shared counter
 // negligible, small enough to balance uneven episode durations.
 const episodeBatch = 8
-
-// EvaluateWithScratch is Evaluate with caller-owned state reuse: scratch
-// (may be nil) supplies the per-sample outcome buffer and the per-worker
-// reusable simulation worlds, making the steady state allocation-free per
-// episode. The returned estimate is identical to Evaluate's: every
-// episode's RNG streams derive counter-style from (cfg.Seed, index), so the
-// estimate is bit-identical regardless of cfg.Parallelism and of which
-// worker runs which episode. It is the single-intruder case of
-// EvaluateMultiWithScratch; a one-model wrap samples and simulates the
-// exact classic stream.
-func EvaluateWithScratch(model EncounterModel, factory SystemFactory, cfg Config, scratch *Scratch) (*Estimate, error) {
-	return EvaluateMultiWithScratch(MultiEncounterModel{Intruders: []EncounterModel{model}}, factory, cfg, scratch)
-}
-
-// EvaluateWithScratchContext is EvaluateWithScratch under a cancellation
-// context.
-func EvaluateWithScratchContext(ctx context.Context, model EncounterModel, factory SystemFactory, cfg Config, scratch *Scratch) (*Estimate, error) {
-	return EvaluateMultiWithScratchContext(ctx, MultiEncounterModel{Intruders: []EncounterModel{model}}, factory, cfg, scratch)
-}
 
 // prepareWorlds wires one reusable simulation world per effective worker
 // for an evaluation over tasks work items claimed in chunks of
@@ -351,19 +317,39 @@ func runEpisodes(ctx context.Context, worlds []*world, n int, run func(w *world,
 	wg.Wait()
 }
 
-// EvaluateMultiWithScratch is EvaluateMulti with caller-owned state reuse
-// (see EvaluateWithScratch); at a steady intruder count the per-episode
-// steady state allocates nothing.
-func EvaluateMultiWithScratch(model MultiEncounterModel, factory SystemFactory, cfg Config, scratch *Scratch) (*Estimate, error) {
-	return EvaluateMultiWithScratchContext(context.Background(), model, factory, cfg, scratch)
+// EvaluateContext estimates event probabilities for one system
+// configuration against a K-intruder encounter model (K=1 is the pairwise
+// model) with the estimator that spec selects: brute force for the zero
+// spec or MethodBruteForce, importance sampling for MethodIS/MethodSNIS,
+// multi-level splitting for MethodSplit (see RareEventSpec). Every
+// episode's random streams derive counter-style from (cfg.Seed, index), so
+// the estimate is deterministic for a given seed and bit-identical for any
+// cfg.Parallelism and any assignment of episodes to workers.
+//
+// scratch (may be nil) supplies the per-sample outcome buffer and the
+// per-worker reusable simulation worlds, so callers running many
+// evaluations back to back allocate nothing per episode at a steady
+// intruder count.
+//
+// A cancelled ctx stops the episode loops (and, for splitting, the stage
+// ladder) between episodes and returns ctx.Err() with no estimate.
+// Cancellation never corrupts state: re-running the same evaluation later
+// reproduces the identical result.
+func EvaluateContext(ctx context.Context, model MultiEncounterModel, factory SystemFactory, cfg Config, spec RareEventSpec, scratch *Scratch) (*Estimate, error) {
+	if err := spec.Validate(); err != nil {
+		return nil, err
+	}
+	switch spec.Method {
+	case MethodIS, MethodSNIS:
+		return estimateIS(ctx, model, factory, cfg, spec.withDefaults(), scratch)
+	case MethodSplit:
+		return estimateSplit(ctx, model, factory, cfg, spec.withDefaults(), scratch)
+	}
+	return evaluate(ctx, model, factory, cfg, scratch)
 }
 
-// EvaluateMultiWithScratchContext is EvaluateMultiWithScratch under a
-// cancellation context: a cancelled ctx stops the episode loop between
-// episodes and returns ctx.Err() with no estimate. Cancellation never
-// corrupts state — episodes are idempotent functions of (cfg.Seed, index),
-// so re-running the same evaluation later reproduces the identical result.
-func EvaluateMultiWithScratchContext(ctx context.Context, model MultiEncounterModel, factory SystemFactory, cfg Config, scratch *Scratch) (*Estimate, error) {
+// evaluate is the brute-force estimator: iid episodes from the model.
+func evaluate(ctx context.Context, model MultiEncounterModel, factory SystemFactory, cfg Config, scratch *Scratch) (*Estimate, error) {
 	if err := model.Validate(); err != nil {
 		return nil, err
 	}

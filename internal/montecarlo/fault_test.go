@@ -1,6 +1,7 @@
 package montecarlo
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
@@ -68,7 +69,7 @@ func TestFaultedScratchReuse(t *testing.T) {
 	faulted.Parallelism = 2
 
 	for _, cfg := range []Config{clean, faulted, clean, faulted} {
-		got, err := EvaluateWithScratch(model, Unequipped, cfg, scratch)
+		got, err := EvaluateContext(context.Background(), single(model), Unequipped, cfg, RareEventSpec{}, scratch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,12 +122,12 @@ func BenchmarkEvaluateFaultedSteadyState(b *testing.B) {
 	// size, exactly as the campaign's first cell would.
 	warm := cfg
 	warm.Samples = 2
-	if _, err := EvaluateWithScratch(model, Unequipped, warm, scratch); err != nil {
+	if _, err := EvaluateContext(context.Background(), single(model), Unequipped, warm, RareEventSpec{}, scratch); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	est, err := EvaluateWithScratch(model, Unequipped, cfg, scratch)
+	est, err := EvaluateContext(context.Background(), single(model), Unequipped, cfg, RareEventSpec{}, scratch)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package montecarlo
 
 import (
+	"context"
 	"math"
 	"sync"
 	"testing"
@@ -15,6 +16,11 @@ var (
 	testTable *acasx.Table
 	tableErr  error
 )
+
+// single wraps a pairwise model as the K=1 MultiEncounterModel.
+func single(m EncounterModel) MultiEncounterModel {
+	return MultiEncounterModel{Intruders: []EncounterModel{m}}
+}
 
 func acasFactory(tb testing.TB) SystemFactory {
 	tb.Helper()
@@ -254,7 +260,7 @@ func TestEvaluateWithScratchReuse(t *testing.T) {
 		cfg.Samples = samples
 		cfg.Seed = seed
 		cfg.Parallelism = 1
-		est, err := EvaluateWithScratch(model, Unequipped, cfg, scratch)
+		est, err := EvaluateContext(context.Background(), single(model), Unequipped, cfg, RareEventSpec{}, scratch)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package montecarlo
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
@@ -72,7 +73,7 @@ func TestEvaluateMultiScratchAcrossIntruderCounts(t *testing.T) {
 	for i, k := range []int{2, 1, 3, 2} {
 		cfg.Seed = uint64(20 + i)
 		model := DefaultMultiEncounterModel(k)
-		got, err := EvaluateMultiWithScratch(model, Unequipped, cfg, scratch)
+		got, err := EvaluateContext(context.Background(), model, Unequipped, cfg, RareEventSpec{}, scratch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +148,7 @@ func BenchmarkEvaluateMultiIntruderSteadyState(b *testing.B) {
 	scratch := &Scratch{}
 	b.ReportAllocs()
 	b.ResetTimer()
-	est, err := EvaluateMultiWithScratch(model, Unequipped, cfg, scratch)
+	est, err := EvaluateContext(context.Background(), model, Unequipped, cfg, RareEventSpec{}, scratch)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package montecarlo
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -61,7 +62,7 @@ func TestEvaluateScratchWorldReuse(t *testing.T) {
 	cfgB.Seed = 8
 
 	for _, cfg := range []Config{cfgA, cfgB, cfgA} {
-		got, err := EvaluateWithScratch(model, Unequipped, cfg, scratch)
+		got, err := EvaluateContext(context.Background(), single(model), Unequipped, cfg, RareEventSpec{}, scratch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,7 +165,7 @@ func BenchmarkEvaluateSteadyState(b *testing.B) {
 	scratch := &Scratch{}
 	b.ReportAllocs()
 	b.ResetTimer()
-	est, err := EvaluateWithScratch(model, Unequipped, cfg, scratch)
+	est, err := EvaluateContext(context.Background(), single(model), Unequipped, cfg, RareEventSpec{}, scratch)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -191,7 +192,7 @@ func BenchmarkEvaluateParallel(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := EvaluateWithScratch(model, Unequipped, cfg, scratch); err != nil {
+				if _, err := EvaluateContext(context.Background(), single(model), Unequipped, cfg, RareEventSpec{}, scratch); err != nil {
 					b.Fatal(err)
 				}
 			}

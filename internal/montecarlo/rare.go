@@ -165,43 +165,6 @@ func (s RareEventSpec) Validate() error {
 	return nil
 }
 
-// EstimateRare estimates rare-event probabilities for one system
-// configuration against a pairwise encounter model using the estimator the
-// spec selects. MethodBruteForce (or an empty method) is exactly Evaluate.
-func EstimateRare(model EncounterModel, factory SystemFactory, cfg Config, spec RareEventSpec) (*Estimate, error) {
-	return EstimateRareMultiWithScratch(MultiEncounterModel{Intruders: []EncounterModel{model}}, factory, cfg, spec, nil)
-}
-
-// EstimateRareMulti is EstimateRare against a multi-intruder model.
-func EstimateRareMulti(model MultiEncounterModel, factory SystemFactory, cfg Config, spec RareEventSpec) (*Estimate, error) {
-	return EstimateRareMultiWithScratch(model, factory, cfg, spec, nil)
-}
-
-// EstimateRareMultiWithScratch is EstimateRareMulti with caller-owned state
-// reuse (see EvaluateWithScratch). Like Evaluate, the result is
-// deterministic for a given seed and bit-identical for any worker count.
-func EstimateRareMultiWithScratch(model MultiEncounterModel, factory SystemFactory, cfg Config, spec RareEventSpec, scratch *Scratch) (*Estimate, error) {
-	return EstimateRareMultiWithScratchContext(context.Background(), model, factory, cfg, spec, scratch)
-}
-
-// EstimateRareMultiWithScratchContext is EstimateRareMultiWithScratch under
-// a cancellation context: a cancelled ctx stops the episode loops (and, for
-// splitting, the stage ladder) and returns ctx.Err() with no estimate.
-func EstimateRareMultiWithScratchContext(ctx context.Context, model MultiEncounterModel, factory SystemFactory, cfg Config, spec RareEventSpec, scratch *Scratch) (*Estimate, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	switch spec.Method {
-	case "", MethodBruteForce:
-		return EvaluateMultiWithScratchContext(ctx, model, factory, cfg, scratch)
-	case MethodIS, MethodSNIS:
-		return estimateIS(ctx, model, factory, cfg, spec.withDefaults(), scratch)
-	case MethodSplit:
-		return estimateSplit(ctx, model, factory, cfg, spec.withDefaults(), scratch)
-	}
-	return nil, fmt.Errorf("montecarlo: unknown estimator method %q", spec.Method)
-}
-
 // proposal is the prepared importance-sampling proposal: the defensive
 // mixture q = alpha·target + (1-alpha)/M · Σ kernels over raw draw space.
 type proposal struct {
@@ -401,7 +364,7 @@ func estimateIS(ctx context.Context, model MultiEncounterModel, factory SystemFa
 		rng := w.rng.SeedChild(cfg.Seed, i)
 		m := q.sampleInto(rng, &w.buf, w.raw, w.params)
 		lw := q.logWeight(w.raw)
-		res, err := w.runner.RunMulti(m, w.systems, stats.DeriveSeed(cfg.Seed^dynamicsSalt, i))
+		res, err := w.runner.Run(m, w.systems, stats.DeriveSeed(cfg.Seed^dynamicsSalt, i))
 		if err != nil {
 			outcomes[i] = outcome{err: err}
 			return
@@ -610,7 +573,7 @@ func estimateSplit(ctx context.Context, model MultiEncounterModel, factory Syste
 		rng := w.rng.SeedChild(stageSeed, i)
 		raw := curRaw[i*dim : (i+1)*dim]
 		m := model.sampleRawInto(rng, &w.buf, raw, w.params)
-		res, err := w.runner.RunMulti(m, w.systems, stats.DeriveSeed(stageSeed^dynamicsSalt, i))
+		res, err := w.runner.Run(m, w.systems, stats.DeriveSeed(stageSeed^dynamicsSalt, i))
 		if err != nil {
 			outcomes[i] = outcome{err: err}
 			return
@@ -686,7 +649,7 @@ func estimateSplit(ctx context.Context, model MultiEncounterModel, factory Syste
 					}
 					dynSeed := rng.Uint64()
 					m := model.paramsFromRaw(w.raw, w.params)
-					res, err := w.runner.RunMulti(m, w.systems, dynSeed)
+					res, err := w.runner.Run(m, w.systems, dynSeed)
 					sims++
 					if err != nil {
 						errs[c] = err

@@ -1,6 +1,7 @@
 package montecarlo
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"math"
@@ -111,7 +112,7 @@ func TestBruteForceMethodMatchesEvaluate(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, method := range []string{"", MethodBruteForce} {
-		got, err := EstimateRare(model, Unequipped, cfg, RareEventSpec{Method: method})
+		got, err := EvaluateContext(context.Background(), single(model), Unequipped, cfg, RareEventSpec{Method: method}, nil)
 		if err != nil {
 			t.Fatalf("method %q: %v", method, err)
 		}
@@ -143,7 +144,7 @@ func TestISWithoutKernelsMatchesBruteForce(t *testing.T) {
 		return math.Abs(a-b) <= 1e-12*math.Max(math.Abs(a), math.Abs(b))
 	}
 	for _, method := range []string{MethodIS, MethodSNIS} {
-		is, err := EstimateRare(model, Unequipped, cfg, RareEventSpec{Method: method})
+		is, err := EvaluateContext(context.Background(), single(model), Unequipped, cfg, RareEventSpec{Method: method}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,7 +209,7 @@ func TestRareEventCrossValidation(t *testing.T) {
 
 	var cumVRF float64
 	for _, method := range []string{MethodIS, MethodSNIS} {
-		est, err := EstimateRareMulti(MultiEncounterModel{Intruders: []EncounterModel{model}}, Unequipped, cfg, hostileISSpec(method))
+		est, err := EvaluateContext(context.Background(), single(model), Unequipped, cfg, hostileISSpec(method), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,7 +227,7 @@ func TestRareEventCrossValidation(t *testing.T) {
 
 	splitCfg := cfg
 	splitCfg.Samples = 2000
-	est, err := EstimateRareMulti(MultiEncounterModel{Intruders: []EncounterModel{model}}, Unequipped, splitCfg, hostileSplitSpec())
+	est, err := EvaluateContext(context.Background(), single(model), Unequipped, splitCfg, hostileSplitSpec(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +267,7 @@ func TestRareEventWorkerCountInvariance(t *testing.T) {
 				var base *Estimate
 				for _, workers := range []int{1, 2, 8} {
 					cfg.Parallelism = workers
-					est, err := EstimateRare(model, Unequipped, cfg, spec)
+					est, err := EvaluateContext(context.Background(), single(model), Unequipped, cfg, spec, nil)
 					if err != nil {
 						t.Fatalf("workers=%d: %v", workers, err)
 					}
@@ -302,11 +303,11 @@ func TestRareEventScratchReuse(t *testing.T) {
 		hostileSplitSpec(),
 		hostileISSpec(MethodSNIS),
 	} {
-		got, err := EstimateRareMultiWithScratch(model, Unequipped, cfg, spec, scratch)
+		got, err := EvaluateContext(context.Background(), model, Unequipped, cfg, spec, scratch)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := EstimateRareMulti(model, Unequipped, cfg, spec)
+		want, err := EvaluateContext(context.Background(), model, Unequipped, cfg, spec, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -329,7 +330,7 @@ func TestISZeroSuccessInterval(t *testing.T) {
 	cfg.Samples = 80
 	cfg.Seed = 3
 	spec := hostileISSpec(MethodIS)
-	est, err := EstimateRare(model, Unequipped, cfg, spec)
+	est, err := EvaluateContext(context.Background(), single(model), Unequipped, cfg, spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,7 +419,7 @@ func TestRareEventGolden(t *testing.T) {
 	}
 	var rows []row
 	for _, spec := range []RareEventSpec{hostileISSpec(MethodIS), hostileSplitSpec()} {
-		est, err := EstimateRare(model, Unequipped, cfg, spec)
+		est, err := EvaluateContext(context.Background(), single(model), Unequipped, cfg, spec, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -496,7 +497,7 @@ func BenchmarkRareEventSteadyState(b *testing.B) {
 	scratch := &Scratch{}
 	b.ReportAllocs()
 	b.ResetTimer()
-	est, err := EstimateRareMultiWithScratch(MultiEncounterModel{Intruders: []EncounterModel{model}}, Unequipped, cfg, spec, scratch)
+	est, err := EvaluateContext(context.Background(), single(model), Unequipped, cfg, spec, scratch)
 	if err != nil {
 		b.Fatal(err)
 	}

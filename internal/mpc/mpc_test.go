@@ -159,7 +159,7 @@ func TestRunDeterminism(t *testing.T) {
 	p := encounter.PresetHeadOn()
 	run := func() sim.Result {
 		t.Helper()
-		res, err := sim.RunEncounter(p, mustNew(t), mustNew(t), cfg, 11)
+		res, err := sim.RunEncounter(p.Multi(), []sim.System{mustNew(t), mustNew(t)}, cfg, 11)
 		if err != nil {
 			t.Fatal(err)
 		}

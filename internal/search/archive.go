@@ -45,13 +45,6 @@ type ArchiveEntry struct {
 	Fault []float64 `json:"fault,omitempty"`
 }
 
-// EncounterParams decodes the entry's parameter vector as a classic
-// pairwise encounter. It errors on multi-intruder entries (vector length
-// K*NumParams with K > 1); use MultiEncounterParams for those.
-func (e ArchiveEntry) EncounterParams() (encounter.Params, error) {
-	return encounter.FromVector(e.Params)
-}
-
 // MultiEncounterParams decodes the entry's parameter vector as a
 // one-ownship, K-intruder encounter (pairwise entries decode as K = 1).
 func (e ArchiveEntry) MultiEncounterParams() (encounter.MultiParams, error) {

@@ -455,7 +455,7 @@ func EvaluateEncounter(ctx context.Context, m encounter.MultiParams, seed uint64
 		Seed:        seed,
 		Parallelism: episodeWorkers,
 	}
-	est, err := montecarlo.EvaluateMultiWithScratchContext(ctx, montecarlo.MultiPointModel(m), factory, cfg, scratch)
+	est, err := montecarlo.EvaluateContext(ctx, montecarlo.MultiPointModel(m), factory, cfg, montecarlo.RareEventSpec{}, scratch)
 	if err != nil {
 		return 0, nil, err
 	}

@@ -9,7 +9,7 @@
 //     on a dedicated goroutine (per-island seeds derive from the run seed
 //     the same way the campaign engine derives per-cell seeds), exchanging
 //     their best individuals via ring migration every K generations.
-//     Fitness evaluation reuses montecarlo.EvaluateWithScratch with a
+//     Fitness evaluation reuses montecarlo.EvaluateContext with a
 //     per-island scratch, so each genome is scored by the same Monte-Carlo
 //     harness the validation campaigns use.
 //

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"os"
@@ -46,10 +47,21 @@ type SubmitRequest struct {
 	Params string `json:"params"`
 }
 
+// maxSubmitBytes bounds a POST /jobs body. The largest shipped spec,
+// params/rare-demo.params, is under 2 KB, so 1 MiB leaves room for long
+// explicit scenario lists while refusing a body before it is decoded or
+// journaled.
+const maxSubmitBytes = 1 << 20
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, fmt.Sprintf("bad request body: %v", err), http.StatusBadRequest)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes)).Decode(&req); err != nil {
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, fmt.Sprintf("bad request body: %v", err), code)
 		return
 	}
 	st, err := s.Submit(req.Kind, req.Params)

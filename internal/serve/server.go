@@ -560,13 +560,13 @@ func (s *Server) runRare(ctx context.Context, j *job) (string, string) {
 	if err != nil {
 		return StatusFailed, err.Error()
 	}
-	model := montecarlo.MultiEncounterModel{Intruders: []montecarlo.EncounterModel{montecarlo.DefaultEncounterModel()}}
+	model := montecarlo.DefaultMultiEncounterModel(1)
 
 	var est *montecarlo.Estimate
 	sup := &Supervisor{Workers: 1, Policy: s.cfg.Policy, Clock: s.cfg.Clock, Seed: cfg.Seed, Drain: s.drain}
 	reports, _ := sup.Run(ctx, 1, func(ctx context.Context, _, _ int) error {
 		var scratch montecarlo.Scratch
-		e, rerr := montecarlo.EstimateRareMultiWithScratchContext(ctx, model, factory, cfg, spec, &scratch)
+		e, rerr := montecarlo.EvaluateContext(ctx, model, factory, cfg, spec, &scratch)
 		if rerr != nil {
 			return rerr
 		}

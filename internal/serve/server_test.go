@@ -183,6 +183,38 @@ func TestServerHTTPEndpoints(t *testing.T) {
 	get("/healthz", http.StatusOK)
 }
 
+// TestServerRejectsOversizedSubmit: a POST /jobs body over the submit
+// limit is refused with 413 before anything is journaled. The padding is a
+// params comment, so the same spec under the limit would be accepted.
+func TestServerRejectsOversizedSubmit(t *testing.T) {
+	dir := t.TempDir()
+	srv := newTestServer(t, dir, nil)
+	defer srv.Close()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	params := testCampaignParams + "\n# " + strings.Repeat("x", maxSubmitBytes)
+	body, _ := json.Marshal(SubmitRequest{Kind: KindCampaign, Params: params})
+	resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized POST /jobs = %d, want 413", resp.StatusCode)
+	}
+	if jobs := srv.Jobs(); len(jobs) != 0 {
+		t.Fatalf("oversized submit created jobs %+v", jobs)
+	}
+	rep, err := ReplayJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Jobs) != 0 || len(rep.Cells) != 0 {
+		t.Fatalf("oversized submit journaled %d jobs, %d cells", len(rep.Jobs), len(rep.Cells))
+	}
+}
+
 // TestServerInjectedFailuresByteIdentical: per-cell failures — errors,
 // panics — on first attempts are retried, and the final artifacts are
 // bit-identical to the failure-free run. This is the paired-seed

@@ -9,18 +9,15 @@ import (
 // ACASXU adapts the acasx logic executive to the System interface, so the
 // encounter runner can equip an aircraft with the table-driven logic.
 //
-// Decide is on the innermost loop of every validation workload (Monte-Carlo
-// estimation, GA search, campaign sweeps): each call runs one decision
-// cycle through the executive's shared-weight table scan
-// (Table.BestAdvisory), which performs no allocation.
+// DecideTracks is on the innermost loop of every validation workload
+// (Monte-Carlo estimation, GA search, campaign sweeps): each call runs one
+// decision cycle through the executive's shared-weight table scan, which
+// performs no allocation.
 type ACASXU struct {
 	logic *acasx.Logic
 }
 
-var (
-	_ MultiSystem     = (*ACASXU)(nil)
-	_ AvoidanceSystem = (*ACASXU)(nil)
-)
+var _ System = (*ACASXU)(nil)
 
 // NewACASXU wraps a built or loaded logic table.
 func NewACASXU(table *acasx.Table) *ACASXU {
@@ -52,21 +49,12 @@ func (a *ACASXU) Decide(_ float64, own uav.State, intrPos, intrVel geom.Vec3, c 
 	return fromACASDecision(a.logic.Decide(own, intrPos, intrVel, mask))
 }
 
-// DecideMulti implements MultiSystem: per-intruder table queries fused
-// most-restrictive-first (acasx.Logic.DecideMulti).
-func (a *ACASXU) DecideMulti(_ float64, own uav.State, tracks []geom.Track, c Constraint) Decision {
+// DecideTracks implements AvoidanceSystem through the executive's
+// multi-track cycle (acasx.Logic.DecideMulti): one track is the pairwise
+// table query bit for bit, several fuse most-restrictive-first.
+func (a *ACASXU) DecideTracks(_ float64, own uav.State, tracks []geom.Track, c Constraint) Decision {
 	mask := acasx.SenseMask{BanUp: c.BanUp, BanDown: c.BanDown}
 	return fromACASDecision(a.logic.DecideMulti(own, tracks, mask))
-}
-
-// DecideTracks implements AvoidanceSystem: the single-threat table query
-// for one track (the classic pairwise path, bit for bit), the
-// most-restrictive-first fusion for several.
-func (a *ACASXU) DecideTracks(now float64, own uav.State, tracks []geom.Track, c Constraint) Decision {
-	if len(tracks) == 1 {
-		return a.Decide(now, own, tracks[0].Pos, tracks[0].Vel, c)
-	}
-	return a.DecideMulti(now, own, tracks, c)
 }
 
 // Reset implements System.
@@ -82,10 +70,7 @@ type ACASXUBelief struct {
 	logic *acasx.BeliefLogic
 }
 
-var (
-	_ MultiSystem     = (*ACASXUBelief)(nil)
-	_ AvoidanceSystem = (*ACASXUBelief)(nil)
-)
+var _ System = (*ACASXUBelief)(nil)
 
 // NewACASXUBelief wraps a table with a belief-weighted executive.
 func NewACASXUBelief(table *acasx.Table, sigmas acasx.BeliefSigmas) (*ACASXUBelief, error) {
@@ -102,21 +87,12 @@ func (a *ACASXUBelief) Decide(_ float64, own uav.State, intrPos, intrVel geom.Ve
 	return fromACASDecision(a.logic.Decide(own, intrPos, intrVel, mask))
 }
 
-// DecideMulti implements MultiSystem: per-intruder belief integrations
-// fused most-restrictive-first (acasx.BeliefLogic.DecideMulti).
-func (a *ACASXUBelief) DecideMulti(_ float64, own uav.State, tracks []geom.Track, c Constraint) Decision {
+// DecideTracks implements AvoidanceSystem through the belief executive's
+// multi-track cycle (acasx.BeliefLogic.DecideMulti): one track is the
+// pairwise belief query bit for bit, several fuse most-restrictive-first.
+func (a *ACASXUBelief) DecideTracks(_ float64, own uav.State, tracks []geom.Track, c Constraint) Decision {
 	mask := acasx.SenseMask{BanUp: c.BanUp, BanDown: c.BanDown}
 	return fromACASDecision(a.logic.DecideMulti(own, tracks, mask))
-}
-
-// DecideTracks implements AvoidanceSystem: the single-threat belief query
-// for one track (the classic pairwise path, bit for bit), the
-// most-restrictive-first fusion for several.
-func (a *ACASXUBelief) DecideTracks(now float64, own uav.State, tracks []geom.Track, c Constraint) Decision {
-	if len(tracks) == 1 {
-		return a.Decide(now, own, tracks[0].Pos, tracks[0].Vel, c)
-	}
-	return a.DecideMulti(now, own, tracks, c)
 }
 
 // Reset implements System.

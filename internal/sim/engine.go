@@ -1,5 +1,6 @@
-// Package sim is the agent-based simulation engine for two-UAV encounter
-// studies: a discrete-time scheduler stepping UAV agents, a pluggable
+// Package sim is the agent-based simulation engine for encounter studies
+// between one ownship and K >= 1 intruders (K=1 is the paper's pairwise
+// encounter): a discrete-time scheduler stepping UAV agents, a pluggable
 // collision avoidance System interface, ADS-B surveillance with sensor
 // noise and optional track filtering, sense coordination between aircraft,
 // and the paper's two monitors — the Proximity Measurer ("measures the
@@ -54,33 +55,15 @@ type Decision struct {
 	Sense Sense
 }
 
-// System is a pluggable pairwise collision avoidance system under test:
-// Decide runs once per decision period with the aircraft's own true state
-// and one (noisy, possibly filtered) intruder track. It remains the
-// transport type of every factory and CLI; the engine itself consults the
-// multi-intruder-first AvoidanceSystem contract, lifting pairwise systems
-// onto it with Adapt.
+// System is a pluggable collision avoidance system under test: the
+// AvoidanceSystem decision step over every tracked intruder, plus the
+// single-track Decide the benchmark's tracing wrapper and older callers
+// still use. For one track, DecideTracks and Decide must agree. System is
+// the transport type of every factory and CLI.
 type System interface {
-	// Decide runs one decision cycle.
+	AvoidanceSystem
+	// Decide runs one decision cycle against one intruder track.
 	Decide(now float64, own uav.State, intrPos, intrVel geom.Vec3, c Constraint) Decision
-	// Reset prepares the system for a fresh encounter.
-	Reset()
-}
-
-// MultiSystem is a System that can resolve several simultaneous threats in
-// one decision cycle: the engine hands it every currently-tracked intruder
-// and the system fuses the per-threat resolutions itself (the ACAS XU
-// executives fuse per-intruder table queries most-restrictive-first).
-// Systems that do not implement MultiSystem face only the nearest threat
-// in multi-intruder encounters. New backends should implement
-// AvoidanceSystem instead; MultiSystem survives as the compatibility
-// surface Adapt dispatches through.
-type MultiSystem interface {
-	System
-	// DecideMulti runs one decision cycle against every tracked intruder
-	// (tracks holds at least one entry; a single entry must behave exactly
-	// like Decide).
-	DecideMulti(now float64, own uav.State, tracks []geom.Track, c Constraint) Decision
 }
 
 // AppendSystemsFromPair fans a pairwise system factory out to the K+1
@@ -112,10 +95,7 @@ func AppendSystemsFromPair(dst []System, factory func() (System, System), k int)
 // that delegates to NoSystem, surveils as usual.
 type NoSystem struct{}
 
-var (
-	_ System          = NoSystem{}
-	_ AvoidanceSystem = NoSystem{}
-)
+var _ System = NoSystem{}
 
 // Decide implements System: always clear of conflict.
 func (NoSystem) Decide(float64, uav.State, geom.Vec3, geom.Vec3, Constraint) Decision {

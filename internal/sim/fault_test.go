@@ -30,7 +30,7 @@ func runPair(t *testing.T, cfg RunConfig, seed uint64) Result {
 	t.Helper()
 	own := &evader{rangeM: 2500}
 	intr := &evader{rangeM: 2500}
-	res, err := RunEncounter(encounter.PresetHeadOn(), own, intr, cfg, seed)
+	res, err := RunEncounter(encounter.PresetHeadOn().Multi(), []System{own, intr}, cfg, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +302,7 @@ func TestFaultedRunnerReuse(t *testing.T) {
 		if err := r.Reconfigure(c); err != nil {
 			t.Fatal(err)
 		}
-		res, err := r.Run(encounter.PresetHeadOn(), &evader{rangeM: 2500}, &evader{rangeM: 2500}, seed)
+		res, err := r.Run(encounter.PresetHeadOn().Multi(), []System{&evader{rangeM: 2500}, &evader{rangeM: 2500}}, seed)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,36 +15,6 @@ func farParams() encounter.Params {
 	return p
 }
 
-// TestRunMultiSingleIntruderIdentity: a single-intruder RunMulti must be
-// byte-identical to the classic pairwise entry points — they share one
-// engine, and this pins the wrappers to it.
-func TestRunMultiSingleIntruderIdentity(t *testing.T) {
-	cfg := DefaultRunConfig()
-	cfg.RecordTrajectory = true
-	table := getTable(t)
-	for _, seed := range []uint64{1, 42, 777} {
-		for _, name := range encounter.PresetNames() {
-			p, err := encounter.Preset(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := RunEncounter(p, NewACASXU(table), NewACASXU(table), cfg, seed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := RunMultiEncounter(p.Multi(),
-				[]System{NewACASXU(table), NewACASXU(table)}, cfg, seed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s/seed %d: RunMulti K=1 differs from pairwise\n got: %+v\nwant: %+v",
-					name, seed, got, want)
-			}
-		}
-	}
-}
-
 // TestRunMultiResetEquivalence: a reused Runner cycling through encounters
 // of different intruder counts must match a fresh world for each — fleet
 // growth and the k bookkeeping must not leak between episodes.
@@ -82,18 +52,18 @@ func TestRunMultiResetEquivalence(t *testing.T) {
 			dirtyK = 3
 		}
 		dirty := encounter.DefaultRanges().SampleMulti(Rand(99, 0), dirtyK)
-		if _, err := reused.RunMulti(dirty, systemsFor(dirtyK), 999); err != nil {
+		if _, err := reused.Run(dirty, systemsFor(dirtyK), 999); err != nil {
 			t.Fatal(err)
 		}
 
-		got, err := reused.RunMulti(sc.m, systemsFor(sc.m.NumIntruders()), sc.seed)
+		got, err := reused.Run(sc.m, systemsFor(sc.m.NumIntruders()), sc.seed)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// The reused runner's AlertCounts alias its scratch; copy before the
 		// next run overwrites them.
 		got.AlertCounts = append([]int(nil), got.AlertCounts...)
-		want, err := RunMultiEncounter(sc.m, systemsFor(sc.m.NumIntruders()), cfg, sc.seed)
+		want, err := RunEncounter(sc.m, systemsFor(sc.m.NumIntruders()), cfg, sc.seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,18 +84,18 @@ func TestRunMultiZeroAlloc(t *testing.T) {
 	}
 	m := encounter.MultiPresetSandwich()
 	systems := []System{NoSystem{}, NoSystem{}, NoSystem{}}
-	if _, err := r.RunMulti(m, systems, 1); err != nil {
+	if _, err := r.Run(m, systems, 1); err != nil {
 		t.Fatal(err)
 	}
 	seed := uint64(2)
 	allocs := testing.AllocsPerRun(10, func() {
-		if _, err := r.RunMulti(m, systems, seed); err != nil {
+		if _, err := r.Run(m, systems, seed); err != nil {
 			t.Fatal(err)
 		}
 		seed++
 	})
 	if allocs > 0 {
-		t.Errorf("Runner.RunMulti allocates %.1f times per episode, want 0", allocs)
+		t.Errorf("Runner.Run allocates %.1f times per episode, want 0", allocs)
 	}
 }
 
@@ -141,18 +111,18 @@ func TestRunMultiEquippedZeroAlloc(t *testing.T) {
 	}
 	m := encounter.MultiPresetSandwich()
 	systems := []System{NewACASXU(table), NoSystem{}, NoSystem{}}
-	if _, err := r.RunMulti(m, systems, 1); err != nil {
+	if _, err := r.Run(m, systems, 1); err != nil {
 		t.Fatal(err)
 	}
 	seed := uint64(2)
 	allocs := testing.AllocsPerRun(10, func() {
-		if _, err := r.RunMulti(m, systems, seed); err != nil {
+		if _, err := r.Run(m, systems, seed); err != nil {
 			t.Fatal(err)
 		}
 		seed++
 	})
 	if allocs > 0 {
-		t.Errorf("equipped Runner.RunMulti allocates %.1f times per episode, want 0", allocs)
+		t.Errorf("equipped Runner.Run allocates %.1f times per episode, want 0", allocs)
 	}
 }
 
@@ -164,7 +134,7 @@ func TestRunMultiNMACAgainstAnyIntruder(t *testing.T) {
 	headon := encounter.PresetHeadOn()
 	m := encounter.MultiOf(farParams(), headon)
 	systems := []System{NoSystem{}, NoSystem{}, NoSystem{}}
-	res, err := RunMultiEncounter(m, systems, cfg, 3)
+	res, err := RunEncounter(m, systems, cfg, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +143,7 @@ func TestRunMultiNMACAgainstAnyIntruder(t *testing.T) {
 	}
 	// The same far geometry alone must not collide, proving intruder 2
 	// caused the detection.
-	alone, err := RunEncounter(farParams(), NoSystem{}, NoSystem{}, cfg, 3)
+	alone, err := RunEncounter(farParams().Multi(), []System{NoSystem{}, NoSystem{}}, cfg, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +164,7 @@ func TestRunMultiAlertCounts(t *testing.T) {
 	table := getTable(t)
 	m := encounter.MultiPresetSandwich()
 	systems := []System{NewACASXU(table), NoSystem{}, NoSystem{}}
-	res, err := RunMultiEncounter(m, systems, cfg, 11)
+	res, err := RunEncounter(m, systems, cfg, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,19 +196,19 @@ func TestRunMultiValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := encounter.MultiPresetConvergingPair()
-	if _, err := r.RunMulti(m, []System{NoSystem{}, NoSystem{}}, 1); err == nil {
+	if _, err := r.Run(m, []System{NoSystem{}, NoSystem{}}, 1); err == nil {
 		t.Error("system count mismatch accepted")
 	}
-	if _, err := r.RunMulti(m, []System{NoSystem{}, nil, NoSystem{}}, 1); err == nil {
+	if _, err := r.Run(m, []System{NoSystem{}, nil, NoSystem{}}, 1); err == nil {
 		t.Error("nil system accepted")
 	}
-	if _, err := r.RunMulti(encounter.MultiParams{}, []System{NoSystem{}}, 1); err == nil {
+	if _, err := r.Run(encounter.MultiParams{}, []System{NoSystem{}}, 1); err == nil {
 		t.Error("empty encounter accepted")
 	}
 	bad := m
 	bad.Intruders = append([]encounter.Params(nil), m.Intruders...)
 	bad.Intruders[1].OwnGroundSpeed += 5
-	if _, err := r.RunMulti(bad, []System{NoSystem{}, NoSystem{}, NoSystem{}}, 1); err == nil {
+	if _, err := r.Run(bad, []System{NoSystem{}, NoSystem{}, NoSystem{}}, 1); err == nil {
 		t.Error("desynchronized ownship state accepted")
 	}
 }
@@ -250,7 +220,7 @@ func TestRunMultiTrajectoryRecordsAllIntruders(t *testing.T) {
 	cfg.RecordTrajectory = true
 	m := encounter.MultiPresetCrossingStream() // K = 3
 	systems := []System{NoSystem{}, NoSystem{}, NoSystem{}, NoSystem{}}
-	res, err := RunMultiEncounter(m, systems, cfg, 1)
+	res, err := RunEncounter(m, systems, cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

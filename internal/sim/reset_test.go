@@ -35,19 +35,19 @@ func TestRunnerResetEquivalence(t *testing.T) {
 	// Dirty the reused world thoroughly before each comparison run: state
 	// left behind by a previous episode must not leak into the next.
 	dirty := func() {
-		if _, err := reused.Run(encounter.PresetVerticalConvergence(),
-			NewACASXU(table), NewACASXU(table), 999); err != nil {
+		if _, err := reused.Run(encounter.PresetVerticalConvergence().Multi(),
+			[]System{NewACASXU(table), NewACASXU(table)}, 999); err != nil {
 			t.Fatal(err)
 		}
 	}
 
 	for _, sc := range scenarios {
 		dirty()
-		got, err := reused.Run(sc.p, NewACASXU(table), NewACASXU(table), sc.seed)
+		got, err := reused.Run(sc.p.Multi(), []System{NewACASXU(table), NewACASXU(table)}, sc.seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := RunEncounter(sc.p, NewACASXU(table), NewACASXU(table), cfg, sc.seed)
+		want, err := RunEncounter(sc.p.Multi(), []System{NewACASXU(table), NewACASXU(table)}, cfg, sc.seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,26 +66,32 @@ func TestRunnerResetEquivalence(t *testing.T) {
 // worker.
 func TestRunnerRunZeroAlloc(t *testing.T) {
 	cfg := DefaultRunConfig()
-	r, err := NewRunner(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := encounter.PresetHeadOn()
-	own, intr := NoSystem{}, NoSystem{}
-	// Warm up (first Run seeds the reusable RNGs, which allocates the four
-	// rand.Rand wrappers once).
-	if _, err := r.Run(p, own, intr, 1); err != nil {
-		t.Fatal(err)
-	}
-	seed := uint64(2)
-	allocs := testing.AllocsPerRun(10, func() {
-		if _, err := r.Run(p, own, intr, seed); err != nil {
+	m := encounter.PresetHeadOn().Multi()
+	// Unequipped aircraft skip surveillance; the evaders run the full
+	// surveillance, tracker and decision cycle.
+	for name, systems := range map[string][]System{
+		"unequipped": {NoSystem{}, NoSystem{}},
+		"equipped":   {&evader{rangeM: 2000}, &evader{rangeM: 2000}},
+	} {
+		r, err := NewRunner(cfg)
+		if err != nil {
 			t.Fatal(err)
 		}
-		seed++
-	})
-	if allocs > 0 {
-		t.Errorf("Runner.Run allocates %.1f times per episode, want 0", allocs)
+		// Warm up (first Run seeds the reusable RNGs, which allocates the
+		// four rand.Rand wrappers once).
+		if _, err := r.Run(m, systems, 1); err != nil {
+			t.Fatal(err)
+		}
+		seed := uint64(2)
+		allocs := testing.AllocsPerRun(10, func() {
+			if _, err := r.Run(m, systems, seed); err != nil {
+				t.Fatal(err)
+			}
+			seed++
+		})
+		if allocs > 0 {
+			t.Errorf("%s: Runner.Run allocates %.1f times per episode, want 0", name, allocs)
+		}
 	}
 }
 
@@ -99,7 +105,7 @@ func TestRunnerReconfigure(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := encounter.PresetHeadOn()
-	base, err := r.Run(p, NoSystem{}, NoSystem{}, 5)
+	base, err := r.Run(p.Multi(), []System{NoSystem{}, NoSystem{}}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +113,7 @@ func TestRunnerReconfigure(t *testing.T) {
 	if err := r.Reconfigure(cfg); err != nil {
 		t.Fatal(err)
 	}
-	again, err := r.Run(p, NoSystem{}, NoSystem{}, 5)
+	again, err := r.Run(p.Multi(), []System{NoSystem{}, NoSystem{}}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,11 +126,11 @@ func TestRunnerReconfigure(t *testing.T) {
 	if err := r.Reconfigure(cfg2); err != nil {
 		t.Fatal(err)
 	}
-	want, err := RunEncounter(p, NoSystem{}, NoSystem{}, cfg2, 5)
+	want, err := RunEncounter(p.Multi(), []System{NoSystem{}, NoSystem{}}, cfg2, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := r.Run(p, NoSystem{}, NoSystem{}, 5)
+	got, err := r.Run(p.Multi(), []System{NoSystem{}, NoSystem{}}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +153,7 @@ func TestRunnerRejectsZeroConfig(t *testing.T) {
 	if _, err := NewRunner(RunConfig{}); err == nil {
 		t.Fatal("NewRunner accepted the zero RunConfig")
 	}
-	if _, err := RunEncounter(encounter.PresetHeadOn(), NoSystem{}, NoSystem{}, RunConfig{}, 1); err == nil {
+	if _, err := RunEncounter(encounter.PresetHeadOn().Multi(), []System{NoSystem{}, NoSystem{}}, RunConfig{}, 1); err == nil {
 		t.Fatal("RunEncounter accepted the zero RunConfig")
 	}
 }

@@ -42,7 +42,7 @@ func TestModelRevisionFixesTailApproach(t *testing.T) {
 	rate := func(table *acasx.Table, p encounter.Params) (nmacs int, alerted int) {
 		const runs = 40
 		for k := 0; k < runs; k++ {
-			res, err := RunEncounter(p, NewACASXU(table), NewACASXU(table), cfg, stats.DeriveSeed(33, k))
+			res, err := RunEncounter(p.Multi(), []System{NewACASXU(table), NewACASXU(table)}, cfg, stats.DeriveSeed(33, k))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -95,7 +95,7 @@ func TestBeliefExecutiveInClosedLoop(t *testing.T) {
 	nmacs := 0
 	const runs = 20
 	for k := 0; k < runs; k++ {
-		res, err := RunEncounter(encounter.PresetHeadOn(), mk(), mk(), cfg, stats.DeriveSeed(5, k))
+		res, err := RunEncounter(encounter.PresetHeadOn().Multi(), []System{mk(), mk()}, cfg, stats.DeriveSeed(5, k))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -188,12 +188,8 @@ type aircraft struct {
 	// every intruder keeps exactly one (the ownship).
 	tracks   []tracker.Tracker
 	hasTrack bool
-	// system is the decision engine consulted each cycle: the equipped
-	// System as-is when it implements AvoidanceSystem, the slot's embedded
-	// pairwise adapter otherwise.
-	system AvoidanceSystem
-	// adapter backs Adapt for pairwise systems without allocating per run.
-	adapter pairwiseAdapter
+	// system is the decision engine consulted each cycle.
+	system System
 	// unequipped is set when the equipped System is NoSystem itself: the
 	// aircraft then skips its surveillance (see NoSystem).
 	unequipped bool
@@ -238,9 +234,7 @@ func (a *aircraft) ensureTracks(n int, cfg tracker.Config) error {
 }
 
 // reset wires the aircraft for a fresh encounter: new initial state, new
-// (Reset) system, dropped tracks, cleared alert bookkeeping. The equipped
-// system is lifted onto the AvoidanceSystem contract through the slot's
-// embedded adapter, so resetting never allocates.
+// (Reset) system, dropped tracks, cleared alert bookkeeping.
 func (a *aircraft) reset(system System, initial uav.State) {
 	a.vehicle.Reset(initial)
 	if a.hasTrack {
@@ -248,12 +242,7 @@ func (a *aircraft) reset(system System, initial uav.State) {
 			a.tracks[i].Reset()
 		}
 	}
-	if as, ok := system.(AvoidanceSystem); ok {
-		a.system = as
-	} else {
-		a.adapter.sys = system
-		a.system = &a.adapter
-	}
+	a.system = system
 	_, a.unequipped = system.(NoSystem)
 	system.Reset()
 	a.lastDecision = Decision{}
@@ -307,10 +296,6 @@ type Runner struct {
 	trackBuf    []geom.Track
 	pairTrack   [1]geom.Track
 	alertCounts []int
-
-	// pairParams/pairSystems back the allocation-free pairwise Run wrapper.
-	pairParams  [1]encounter.Params
-	pairSystems [2]System
 }
 
 // streamIndexes returns the (dynamics, sensor) component stream indices of
@@ -455,26 +440,16 @@ func (r *Runner) ensureFleet(n int) error {
 // Config returns the runner's configuration.
 func (r *Runner) Config() RunConfig { return r.cfg }
 
-// Run simulates one encounter between two aircraft equipped with the given
-// collision avoidance systems (use NoSystem for an unequipped aircraft),
-// resetting the whole world in place first. The run is deterministic for a
-// given seed and byte-identical to RunEncounter with the same arguments;
-// Systems are Reset before use. Run is the pairwise special case of
-// RunMulti and shares its engine.
-func (r *Runner) Run(p encounter.Params, ownSys, intrSys System, seed uint64) (Result, error) {
-	r.pairParams[0] = p
-	r.pairSystems[0], r.pairSystems[1] = ownSys, intrSys
-	return r.RunMulti(encounter.MultiParams{Intruders: r.pairParams[:]}, r.pairSystems[:], seed)
-}
-
-// RunMulti simulates one encounter between the ownship and the encounter's
-// K intruders. systems holds one collision avoidance system per aircraft:
-// systems[0] equips the ownship, systems[j] intruder j (1 <= j <= K); use
-// NoSystem for unequipped aircraft. The ownship resolves all K threats in
-// one decision cycle (MultiSystem fusion when its system supports it, the
-// nearest threat otherwise); each intruder avoids the ownship only. A
-// single-intruder call is bit-identical to the classic pairwise Run.
-func (r *Runner) RunMulti(m encounter.MultiParams, systems []System, seed uint64) (Result, error) {
+// Run simulates one encounter between the ownship and the encounter's K
+// intruders, resetting the whole world in place first; K=1 (p.Multi() for
+// pairwise Params) is the paper's pairwise encounter. systems holds one
+// collision avoidance system per aircraft: systems[0] equips the ownship,
+// systems[j] intruder j (1 <= j <= K); use NoSystem for unequipped
+// aircraft. The ownship resolves all K threats in one DecideTracks cycle;
+// each intruder avoids the ownship only. Systems are Reset before use, and
+// the run is deterministic for a given seed and byte-identical to
+// RunEncounter with the same arguments.
+func (r *Runner) Run(m encounter.MultiParams, systems []System, seed uint64) (Result, error) {
 	if err := m.Validate(); err != nil {
 		return Result{}, err
 	}
@@ -621,30 +596,17 @@ func (r *Runner) trajectoryPoint(now float64) TrajectoryPoint {
 	return tp
 }
 
-// RunEncounter simulates one encounter between two aircraft equipped with
-// the given collision avoidance systems (use NoSystem for an unequipped
-// aircraft). The run is deterministic for a given seed. Systems are Reset
-// before use. Callers running many episodes should hold a Runner and call
-// its Run method instead, which reuses the whole simulation world.
-func RunEncounter(p encounter.Params, ownSys, intrSys System, cfg RunConfig, seed uint64) (Result, error) {
-	r, err := NewRunner(cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	return r.Run(p, ownSys, intrSys, seed)
-}
-
-// RunMultiEncounter simulates one encounter between the ownship and K
+// RunEncounter simulates one encounter between the ownship and K
 // intruders; systems[0] equips the ownship, systems[j] intruder j. The run
-// is deterministic for a given seed, and bit-identical to RunEncounter for
-// single-intruder encounters. Callers running many episodes should hold a
-// Runner and call RunMulti, which reuses the whole simulation world.
-func RunMultiEncounter(m encounter.MultiParams, systems []System, cfg RunConfig, seed uint64) (Result, error) {
+// is deterministic for a given seed. Callers running many episodes should
+// hold a Runner and call its Run method, which reuses the whole simulation
+// world.
+func RunEncounter(m encounter.MultiParams, systems []System, cfg RunConfig, seed uint64) (Result, error) {
 	r, err := NewRunner(cfg)
 	if err != nil {
 		return Result{}, err
 	}
-	return r.RunMulti(m, systems, seed)
+	return r.Run(m, systems, seed)
 }
 
 // surveil runs aircraft a's surveillance of peer (tracked by a.tracks[ti]
@@ -736,10 +698,8 @@ func (a *aircraft) applyDecision(d Decision, now float64) {
 
 // decideOwnship runs the ownship's decision cycle: surveil every intruder
 // (in encounter order, from the ownship's sensor stream), then hand the
-// surviving tracks to the system's AvoidanceSystem step in one call. The
-// classic pairwise/MultiSystem/nearest-threat dispatch lives in the Adapt
-// adapter, so a single-track cycle is bit-identical to the historical
-// pairwise engine. An unequipped ownship surveils nothing (see NoSystem).
+// surviving tracks to the system's DecideTracks step in one call. An
+// unequipped ownship surveils nothing (see NoSystem).
 func (r *Runner) decideOwnship(now float64) {
 	a := r.fleet[0]
 	if a.unequipped {
@@ -772,24 +732,11 @@ func (r *Runner) decideOwnship(now float64) {
 	a.applyDecision(d, now)
 }
 
-// nearestTrack returns the index of the track closest to pos in 3-D (first
-// index on ties, so the choice is deterministic).
-func nearestTrack(pos geom.Vec3, tracks []geom.Track) int {
-	best, bestD := 0, tracks[0].Pos.DistanceSquaredTo(pos)
-	for i := 1; i < len(tracks); i++ {
-		if d := tracks[i].Pos.DistanceSquaredTo(pos); d < bestD {
-			best, bestD = i, d
-		}
-	}
-	return best
-}
-
 // decideIntruder runs intruder j's decision cycle against the ownship: one
 // surveillance observation from the intruder's own sensor stream, a
-// single-track AvoidanceSystem step (the adapter routes it through the
-// pairwise Decide, bit-identical to the classic engine), coordination
-// constrained by the ownship's current claimed sense. An unequipped
-// intruder surveils nothing (see NoSystem).
+// single-track DecideTracks step, coordination constrained by the
+// ownship's current claimed sense. An unequipped intruder surveils nothing
+// (see NoSystem).
 func (r *Runner) decideIntruder(now float64, j int) {
 	a := r.fleet[j]
 	if a.unequipped {

@@ -108,7 +108,7 @@ func TestRunConfigValidation(t *testing.T) {
 			if err := cfg.Validate(); err == nil {
 				t.Error("expected validation error")
 			}
-			if _, err := RunEncounter(encounter.PresetHeadOn(), NoSystem{}, NoSystem{}, cfg, 1); err == nil {
+			if _, err := RunEncounter(encounter.PresetHeadOn().Multi(), []System{NoSystem{}, NoSystem{}}, cfg, 1); err == nil {
 				t.Error("RunEncounter should reject invalid config")
 			}
 		})
@@ -126,7 +126,7 @@ func TestUnequippedHeadOnCollides(t *testing.T) {
 	cfg.OwnUAV.VerticalNoise, cfg.OwnUAV.SpeedNoise, cfg.OwnUAV.HeadingNoise = 0, 0, 0
 	cfg.IntruderUAV = cfg.OwnUAV
 	cfg.Sensor = uav.SensorModel{}
-	res, err := RunEncounter(encounter.PresetHeadOn(), NoSystem{}, NoSystem{}, cfg, 42)
+	res, err := RunEncounter(encounter.PresetHeadOn().Multi(), []System{NoSystem{}, NoSystem{}}, cfg, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestUnequippedHeadOnCollides(t *testing.T) {
 func TestEquippedHeadOnAvoids(t *testing.T) {
 	table := getTable(t)
 	cfg := DefaultRunConfig()
-	res, err := RunEncounter(encounter.PresetHeadOn(), NewACASXU(table), NewACASXU(table), cfg, 7)
+	res, err := RunEncounter(encounter.PresetHeadOn().Multi(), []System{NewACASXU(table), NewACASXU(table)}, cfg, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestCoordinationComplementarySenses(t *testing.T) {
 	table := getTable(t)
 	cfg := DefaultRunConfig()
 	cfg.RecordTrajectory = true
-	res, err := RunEncounter(encounter.PresetHeadOn(), NewACASXU(table), NewACASXU(table), cfg, 3)
+	res, err := RunEncounter(encounter.PresetHeadOn().Multi(), []System{NewACASXU(table), NewACASXU(table)}, cfg, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,18 +195,18 @@ func TestCoordinationComplementarySenses(t *testing.T) {
 func TestDeterminismUnderSeed(t *testing.T) {
 	table := getTable(t)
 	cfg := DefaultRunConfig()
-	a, err := RunEncounter(encounter.PresetCrossing(), NewACASXU(table), NewACASXU(table), cfg, 99)
+	a, err := RunEncounter(encounter.PresetCrossing().Multi(), []System{NewACASXU(table), NewACASXU(table)}, cfg, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunEncounter(encounter.PresetCrossing(), NewACASXU(table), NewACASXU(table), cfg, 99)
+	b, err := RunEncounter(encounter.PresetCrossing().Multi(), []System{NewACASXU(table), NewACASXU(table)}, cfg, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.MinSeparation != b.MinSeparation || a.NMAC != b.NMAC || a.OwnAlerts() != b.OwnAlerts() {
 		t.Errorf("same seed, different results: %+v vs %+v", a, b)
 	}
-	c, err := RunEncounter(encounter.PresetCrossing(), NewACASXU(table), NewACASXU(table), cfg, 100)
+	c, err := RunEncounter(encounter.PresetCrossing().Multi(), []System{NewACASXU(table), NewACASXU(table)}, cfg, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestTrajectoryRecording(t *testing.T) {
 	cfg := DefaultRunConfig()
 	cfg.RecordTrajectory = true
 	p := encounter.PresetHeadOn()
-	res, err := RunEncounter(p, NoSystem{}, NoSystem{}, cfg, 1)
+	res, err := RunEncounter(p.Multi(), []System{NoSystem{}, NoSystem{}}, cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestTrajectoryRecording(t *testing.T) {
 }
 
 func TestNoTrajectoryByDefault(t *testing.T) {
-	res, err := RunEncounter(encounter.PresetHeadOn(), NoSystem{}, NoSystem{}, DefaultRunConfig(), 1)
+	res, err := RunEncounter(encounter.PresetHeadOn().Multi(), []System{NoSystem{}, NoSystem{}}, DefaultRunConfig(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestSensorDropoutFailureInjection(t *testing.T) {
 	cfg.Sensor.DropRate = 1
 	cfg.OwnUAV.VerticalNoise, cfg.OwnUAV.SpeedNoise, cfg.OwnUAV.HeadingNoise = 0, 0, 0
 	cfg.IntruderUAV = cfg.OwnUAV
-	res, err := RunEncounter(encounter.PresetHeadOn(), NewACASXU(table), NewACASXU(table), cfg, 5)
+	res, err := RunEncounter(encounter.PresetHeadOn().Multi(), []System{NewACASXU(table), NewACASXU(table)}, cfg, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func TestTrackerCoastsThroughDropouts(t *testing.T) {
 	table := getTable(t)
 	cfg := DefaultRunConfig()
 	cfg.Sensor.DropRate = 0.3
-	res, err := RunEncounter(encounter.PresetHeadOn(), NewACASXU(table), NewACASXU(table), cfg, 11)
+	res, err := RunEncounter(encounter.PresetHeadOn().Multi(), []System{NewACASXU(table), NewACASXU(table)}, cfg, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +336,7 @@ func BenchmarkRunEncounterEquipped(b *testing.B) {
 	intr := NewACASXU(table)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunEncounter(p, own, intr, cfg, uint64(i)); err != nil {
+		if _, err := RunEncounter(p.Multi(), []System{own, intr}, cfg, uint64(i)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -65,9 +65,13 @@ func presetEpisodes(t *testing.T) []presetEpisode {
 type passNone struct{ NoSystem }
 
 // probe alerts from its first decision on and commands a vertical rate
-// that is a continuous function of the track it is handed, so any change
-// in what it observes moves its trajectory.
+// that is a continuous function of the first track it is handed, so any
+// change in what it observes moves its trajectory.
 type probe struct{ alerted bool }
+
+func (p *probe) DecideTracks(now float64, own uav.State, tracks []geom.Track, c Constraint) Decision {
+	return p.Decide(now, own, tracks[0].Pos, tracks[0].Vel, c)
+}
 
 func (p *probe) Decide(_ float64, own uav.State, pos, _ geom.Vec3, _ Constraint) Decision {
 	d := Decision{
@@ -140,11 +144,11 @@ func TestUnequippedSkipIdentity(t *testing.T) {
 				ownAlerts, intrAlerts := 0, 0
 				for i, ep := range eps {
 					k := ep.m.NumIntruders()
-					w, err := wrapped.RunMulti(ep.m, build(k, pat.own, pat.intr, passNone{}), ep.seed)
+					w, err := wrapped.Run(ep.m, build(k, pat.own, pat.intr, passNone{}), ep.seed)
 					if err != nil {
 						t.Fatal(err)
 					}
-					g, err := bare.RunMulti(ep.m, build(k, pat.own, pat.intr, NoSystem{}), ep.seed)
+					g, err := bare.Run(ep.m, build(k, pat.own, pat.intr, NoSystem{}), ep.seed)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -57,7 +57,8 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// System implements sim.System with the SVO method.
+// System implements sim.System with the SVO method. SVO resolves one
+// conflict at a time: facing several tracks it steers around the nearest.
 type System struct {
 	cfg      Config
 	alerting bool
@@ -159,4 +160,17 @@ func (s *System) Decide(_ float64, own uav.State, intrPos, intrVel geom.Vec3, _ 
 		// Horizontal-only resolution claims no vertical sense.
 		Sense: sim.SenseNone,
 	}
+}
+
+// DecideTracks implements sim.AvoidanceSystem: the velocity-obstacle
+// resolution against the nearest track in 3-D, the most immediately
+// pressing conflict (first index on ties, so the choice is deterministic).
+func (s *System) DecideTracks(now float64, own uav.State, tracks []geom.Track, c sim.Constraint) sim.Decision {
+	n, nd := 0, tracks[0].Pos.DistanceSquaredTo(own.Pos)
+	for i := 1; i < len(tracks); i++ {
+		if d := tracks[i].Pos.DistanceSquaredTo(own.Pos); d < nd {
+			n, nd = i, d
+		}
+	}
+	return s.Decide(now, own, tracks[n].Pos, tracks[n].Vel, c)
 }

@@ -159,7 +159,7 @@ func TestSVOResolvesHeadOnInSim(t *testing.T) {
 	}
 	cfg := sim.DefaultRunConfig()
 	cfg.UseTracker = true
-	res, err := sim.RunEncounter(encounter.PresetHeadOn(), mk(), mk(), cfg, 13)
+	res, err := sim.RunEncounter(encounter.PresetHeadOn().Multi(), []sim.System{mk(), mk()}, cfg, 13)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,5 +186,37 @@ func TestAlertAccounting(t *testing.T) {
 	d3 := s.Decide(2, own, geom.Vec3{X: 1800}, geom.Vec3{X: -50}, sim.Constraint{})
 	if !d3.NewAlert {
 		t.Error("alert state survived Reset")
+	}
+}
+
+// TestDecideTracksNearestThreat: facing several tracks, SVO must resolve
+// the nearest one in 3-D, whatever its index, and take the first index on a
+// distance tie.
+func TestDecideTracksNearestThreat(t *testing.T) {
+	own := uav.State{Vel: geom.Velocity{Gs: 50, Psi: 0}}
+	// A distant intruder off the left beam, clear of conflict, and a
+	// closer head-on threat.
+	far := geom.Track{Pos: geom.Vec3{Y: 3000}, Vel: geom.Vec3{Y: 30}}
+	near := geom.Track{Pos: geom.Vec3{X: 2000}, Vel: geom.Vec3{X: -50}}
+	want := mustSystem(t).Decide(0, own, near.Pos, near.Vel, sim.Constraint{})
+	if !want.Alerting {
+		t.Fatal("head-on track does not alert; test is vacuous")
+	}
+	for _, tracks := range [][]geom.Track{{far, near}, {near, far}} {
+		if got := mustSystem(t).DecideTracks(0, own, tracks, sim.Constraint{}); got != want {
+			t.Errorf("DecideTracks %+v, want the nearest threat's %+v", got, want)
+		}
+	}
+
+	// Equidistant tracks: the first wins.
+	mirror := geom.Track{Pos: geom.Vec3{Y: 2000}, Vel: geom.Vec3{Y: 30}}
+	if mustSystem(t).Decide(0, own, mirror.Pos, mirror.Vel, sim.Constraint{}) == want {
+		t.Fatal("tie tracks decide alike; tie test is vacuous")
+	}
+	for _, tracks := range [][]geom.Track{{near, mirror}, {mirror, near}} {
+		first := mustSystem(t).Decide(0, own, tracks[0].Pos, tracks[0].Vel, sim.Constraint{})
+		if got := mustSystem(t).DecideTracks(0, own, tracks, sim.Constraint{}); got != first {
+			t.Errorf("tie resolved %+v, want the first track's %+v", got, first)
+		}
 	}
 }

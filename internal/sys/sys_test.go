@@ -66,7 +66,7 @@ func TestRoundTrip(t *testing.T) {
 			t.Errorf("%s: factory returned nil system", name)
 			continue
 		}
-		if _, err := sim.RunEncounter(p, own, intr, cfg, 3); err != nil {
+		if _, err := sim.RunEncounter(p.Multi(), []sim.System{own, intr}, cfg, 3); err != nil {
 			t.Errorf("%s: RunEncounter: %v", name, err)
 		}
 	}
@@ -125,7 +125,7 @@ func TestParamsOverrideDefaults(t *testing.T) {
 			t.Fatal(err)
 		}
 		own, intr := factory()
-		res, err := sim.RunEncounter(p, own, intr, cfg, 5)
+		res, err := sim.RunEncounter(p.Multi(), []sim.System{own, intr}, cfg, 5)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,14 +2,15 @@ package acasxval
 
 // Multi-intruder coverage through the public facade: the shipped
 // multi-demo spec must drive both a K-intruder campaign sweep and a K=2
-// island search end to end, the K=1 multi path must be byte-identical to
-// the classic pairwise entry points, and the danger-archive loop must
-// round-trip K=2 scenarios.
+// island search end to end, the K=1 entry points must agree with each
+// other, and the danger-archive loop must round-trip K=2 scenarios.
 
 import (
 	"bytes"
 	"reflect"
 	"testing"
+
+	"acasxval/internal/montecarlo"
 )
 
 func TestMultiPresetsThroughFacade(t *testing.T) {
@@ -39,21 +40,37 @@ func TestMultiPresetsThroughFacade(t *testing.T) {
 	}
 }
 
+// TestRunMultiEncounterPairwiseIdentity: a pairwise preset looked up as a
+// K=1 encounter and flown by RunEncounter must be byte-identical to a
+// reused EncounterRunner flying p.Multi() after a K=2 episode.
 func TestRunMultiEncounterPairwiseIdentity(t *testing.T) {
-	table := facadeLogicTable(t)
+	factory := facadeFactory(t)
 	cfg := DefaultRunConfig()
+	m, err := MultiEncounterPreset("crossing")
+	if err != nil {
+		t.Fatal(err)
+	}
+	runner, err := NewEncounterRunner(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, seed := range []uint64{3, 99} {
-		want, err := RunEncounter(PresetCrossing(), NewACASXU(table), NewACASXU(table), cfg, seed)
+		own, intr := factory()
+		want, err := RunEncounter(m, []System{own, intr}, cfg, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := RunMultiEncounter(PresetCrossing().Multi(),
-			[]System{NewACASXU(table), NewACASXU(table)}, cfg, seed)
+		none := NoAvoidance()
+		if _, err := runner.Run(MultiPresetSandwich(), []System{none, none, none}, seed); err != nil {
+			t.Fatal(err)
+		}
+		own, intr = factory()
+		got, err := runner.Run(PresetCrossing().Multi(), []System{own, intr}, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("seed %d: K=1 multi run differs from pairwise\n got: %+v\nwant: %+v", seed, got, want)
+			t.Errorf("seed %d: reused-runner K=1 run differs from RunEncounter\n got: %+v\nwant: %+v", seed, got, want)
 		}
 	}
 }
@@ -133,7 +150,7 @@ func TestMultiDemoEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sres, err := RunSearch(sspec, Unequipped, SearchOptions{})
+	sres, err := RunSearch(sspec, unequipped, SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,19 +189,22 @@ func TestMultiDemoEndToEnd(t *testing.T) {
 	}
 }
 
+// TestEstimateMultiRiskMatchesPairwiseForOneIntruder: EstimateRisk on the
+// K=1 default model must equal the engine's pairwise-model wrapper
+// (montecarlo.Evaluate) exactly.
 func TestEstimateMultiRiskMatchesPairwiseForOneIntruder(t *testing.T) {
 	cfg := DefaultMonteCarloConfig()
 	cfg.Samples = 30
 	cfg.Seed = 13
-	want, err := EstimateRisk(DefaultEncounterModel(), Unequipped, cfg)
+	want, err := montecarlo.Evaluate(DefaultEncounterModel(), montecarlo.Unequipped, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := EstimateMultiRisk(DefaultMultiEncounterModel(1), Unequipped, cfg)
+	got, err := EstimateRisk(DefaultMultiEncounterModel(1), unequipped, cfg, RareEventSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if *got != *want {
-		t.Errorf("K=1 multi estimate differs from pairwise\n got: %+v\nwant: %+v", got, want)
+		t.Errorf("K=1 estimate differs from the pairwise wrapper\n got: %+v\nwant: %+v", got, want)
 	}
 }

@@ -4,21 +4,21 @@ import (
 	"testing"
 )
 
-// TestEstimateRareRiskFacade drives every estimator method through the
-// facade against the default model and checks the brute-force arm matches
-// EstimateRisk exactly.
+// TestEstimateRareRiskFacade drives every estimator method through
+// EstimateRisk against the default model and checks the brute-force arm
+// matches the zero spec exactly.
 func TestEstimateRareRiskFacade(t *testing.T) {
 	cfg := DefaultMonteCarloConfig()
 	cfg.Samples = 40
 	cfg.Seed = 9
-	model := DefaultEncounterModel()
-	brute, err := EstimateRisk(model, Unequipped, cfg)
+	model := DefaultMultiEncounterModel(1)
+	brute, err := EstimateRisk(model, unequipped, cfg, RareEventSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, method := range RareEventMethods() {
 		spec := DefaultRareEventSpec(method)
-		est, err := EstimateRareRisk(model, Unequipped, cfg, spec)
+		est, err := EstimateRisk(model, unequipped, cfg, spec)
 		if err != nil {
 			t.Fatalf("%s: %v", method, err)
 		}
@@ -26,7 +26,7 @@ func TestEstimateRareRiskFacade(t *testing.T) {
 			t.Errorf("%s: P(NMAC) = %v outside [0, 1]", method, est.PNMAC)
 		}
 		if method == "bruteforce" && *est != *brute {
-			t.Errorf("bruteforce estimator differs from EstimateRisk\n got: %+v\nwant: %+v", est, brute)
+			t.Errorf("bruteforce estimator differs from the zero spec\n got: %+v\nwant: %+v", est, brute)
 		}
 	}
 }
@@ -81,7 +81,7 @@ func TestArchiveProposalKernels(t *testing.T) {
 	cfg := DefaultMonteCarloConfig()
 	cfg.Samples = 40
 	cfg.Seed = 9
-	est, err := EstimateRareRisk(DefaultEncounterModel(), Unequipped, cfg, spec)
+	est, err := EstimateRisk(DefaultMultiEncounterModel(1), unequipped, cfg, spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,31 +35,10 @@ func RunSearchContext(ctx context.Context, spec SearchSpec, factory SystemFactor
 }
 
 // EstimateRiskContext is EstimateRisk under a cancellation context: a
-// cancelled ctx stops the episode loop and returns ctx.Err() with no
-// estimate.
-func EstimateRiskContext(ctx context.Context, model EncounterModel, factory SystemFactory, cfg MonteCarloConfig) (*RiskEstimate, error) {
-	return montecarlo.EvaluateContext(ctx, model, factory, cfg)
-}
-
-// EstimateMultiRiskContext is EstimateMultiRisk under a cancellation
-// context.
-func EstimateMultiRiskContext(ctx context.Context, model MultiEncounterModel, factory SystemFactory, cfg MonteCarloConfig) (*RiskEstimate, error) {
-	return montecarlo.EvaluateMultiContext(ctx, model, factory, cfg)
-}
-
-// EstimateRareRiskContext is EstimateRareRisk under a cancellation
-// context: a cancelled ctx stops the episode loops (and, for splitting,
-// the stage ladder) and returns ctx.Err() with no estimate.
-func EstimateRareRiskContext(ctx context.Context, model EncounterModel, factory SystemFactory, cfg MonteCarloConfig, spec RareEventSpec) (*RiskEstimate, error) {
-	return montecarlo.EstimateRareMultiWithScratchContext(ctx,
-		montecarlo.MultiEncounterModel{Intruders: []montecarlo.EncounterModel{model}},
-		factory, cfg, spec, nil)
-}
-
-// EstimateMultiRareRiskContext is EstimateMultiRareRisk under a
-// cancellation context.
-func EstimateMultiRareRiskContext(ctx context.Context, model MultiEncounterModel, factory SystemFactory, cfg MonteCarloConfig, spec RareEventSpec) (*RiskEstimate, error) {
-	return montecarlo.EstimateRareMultiWithScratchContext(ctx, model, factory, cfg, spec, nil)
+// cancelled ctx stops the episode loops (and, for splitting, the stage
+// ladder) and returns ctx.Err() with no estimate.
+func EstimateRiskContext(ctx context.Context, model MultiEncounterModel, factory SystemFactory, cfg MonteCarloConfig, spec RareEventSpec) (*RiskEstimate, error) {
+	return montecarlo.EvaluateContext(ctx, model, factory, cfg, spec, nil)
 }
 
 // The validation service: a long-running, crash-safe server around the
