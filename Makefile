@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test lint perfbench bench bench-json sweep-demo rare-demo clean
+.PHONY: all build test lint perfbench perf-gate bench sweep-demo rare-demo clean
 
 all: lint build test perfbench
 
@@ -27,11 +27,11 @@ perfbench:
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
 
-# Record one point of the performance trajectory: run the E1-E8 harness and
-# the lookup hot path, writing BENCH_<date>.json (see scripts/bench.sh for
-# the knobs; compare snapshots with `go run ./cmd/benchjson -compare`).
-bench-json:
-	sh scripts/bench.sh
+# Same-machine A/B against a base revision (the CI perf job): perfbench
+# base/head pairs on the merge base of BASE and HEAD, failing on a
+# regression verdict. About 10 minutes: make perf-gate BASE=main
+perf-gate:
+	bash scripts/perf-gate.sh $(BASE)
 
 # Run the checked-in demo campaign (params/sweep-demo.params).
 sweep-demo:

@@ -294,8 +294,8 @@ func BenchmarkCampaignSweep(b *testing.B) {
 // BenchmarkIslandSearch measures the island-model adversarial search
 // engine's throughput at a fixed total budget (24 individuals per
 // generation split across the islands), so the enc-evals/s metric shows how
-// search throughput scales with island count. Tracked in the
-// BENCH_<date>.json snapshots.
+// search throughput scales with island count. Its earlier figures are in
+// the read-only BENCH_<date>.json history.
 func BenchmarkIslandSearch(b *testing.B) {
 	table := benchLogicTable(b)
 	factory := acasxFactory(b, table)
@@ -329,8 +329,8 @@ func BenchmarkIslandSearch(b *testing.B) {
 // BenchmarkTableLookupHot exercises the online logic's hot path: a single
 // interpolated advisory query through the shared-weight scan
 // (BestAdvisory). CI gates on this benchmark reporting
-// 0 allocs/op; its ns/op trajectory is tracked in the BENCH_<date>.json
-// snapshots `make bench-json` records.
+// 0 allocs/op; its earlier ns/op figures are in the read-only
+// BENCH_<date>.json history.
 func BenchmarkTableLookupHot(b *testing.B) {
 	table := benchLogicTable(b)
 	b.ReportAllocs()

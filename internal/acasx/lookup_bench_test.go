@@ -31,8 +31,8 @@ func fullBenchTable(tb testing.TB) *Table {
 // lookup (AllQValues) per op — the innermost unit of every decision
 // cycle — over a domain-spanning random query stream (the worst case for
 // locality; an episode's own trajectory corridor is far more correlated).
-// The name is kept so the gate still compares against the checked-in
-// BENCH_*.json snapshots.
+// CI gates on it reporting 0 allocs/op; the name matches the read-only
+// BENCH_*.json history.
 func BenchmarkAllQValuesFast(b *testing.B) {
 	b.Run("exact", func(b *testing.B) {
 		table := fullBenchTable(b)

@@ -28,7 +28,7 @@ func benchSerializeTable(b *testing.B) *Table {
 
 // BenchmarkTableWriteTo measures table serialization throughput (the save
 // half of the Save/Load round trip). The Q payload is bulk-encoded one
-// slice at a time; MB/s is the figure to watch across snapshots.
+// slice at a time; MB/s is the figure to watch across runs.
 func BenchmarkTableWriteTo(b *testing.B) {
 	table := benchSerializeTable(b)
 	n, err := table.WriteTo(io.Discard)

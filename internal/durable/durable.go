@@ -114,15 +114,15 @@ func (w *AppendWriter) Close() error {
 	return w.f.Close()
 }
 
-// ScanJSONL hands every non-empty line of r (with its 1-based line number,
-// trailing \r\n or \n stripped) to decode. A decode error on a
-// newline-terminated line is fatal — the line was written completely, so
-// it is corrupt, not truncated. A decode error on an unterminated final
-// fragment is the signature of a writer killed mid-line: the fragment is
-// skipped and truncated reports it, so callers can warn and continue with
-// every record that was fully written. An unterminated final line that
-// decodes cleanly is kept (files written without a trailing newline stay
-// loadable).
+// ScanJSONL hands every non-empty line of r (with its 1-based line number in
+// r, blank lines counted, and its trailing \r\n or \n stripped) to decode.
+// A decode error on a newline-terminated line is fatal — the line was
+// written completely, so it is corrupt, not truncated. A decode error on an
+// unterminated final fragment is the signature of a writer killed
+// mid-line: the fragment is skipped and truncated reports it, so callers
+// can warn and continue with every record that was fully written. An
+// unterminated final line that decodes cleanly is kept (files written
+// without a trailing newline stay loadable).
 func ScanJSONL(r io.Reader, decode func(line int, data []byte) error) (truncated bool, err error) {
 	br := bufio.NewReaderSize(r, 64*1024)
 	line := 0
@@ -132,8 +132,8 @@ func ScanJSONL(r io.Reader, decode func(line int, data []byte) error) (truncated
 		if rerr != nil && rerr != io.EOF {
 			return false, fmt.Errorf("durable: read line %d: %w", line+1, rerr)
 		}
+		line++
 		if trimmed := trimEOL(data); len(trimmed) > 0 {
-			line++
 			if derr := decode(line, trimmed); derr != nil {
 				if !complete {
 					return true, nil

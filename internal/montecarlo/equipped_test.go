@@ -71,10 +71,9 @@ func requireWorkerInvariant(t *testing.T, cfg Config, eval func(Config) (*Estima
 // the head-on conflict geometry (the point model keeps every decision
 // cycle inside the optimization horizon), so each episode pays the
 // interpolated table gathers that dominate equipped campaign and search
-// workloads. episodes/s is the headline metric the BENCH_<date>.json
-// snapshots track; allocs/op is per-episode steady state and must stay ~0.
-// The "exact" sub-benchmark name is kept so the gate still compares
-// against the checked-in BENCH_*.json snapshots.
+// workloads. It reports episodes/s; allocs/op is per-episode steady state
+// and must stay ~0. The "exact" sub-benchmark name matches the read-only
+// BENCH_*.json history.
 func BenchmarkEvaluateEquippedSteadyState(b *testing.B) {
 	model := MultiPointModel(encounter.PresetHeadOn().Multi())
 	b.Run("exact", func(b *testing.B) {

@@ -175,7 +175,7 @@ func BenchmarkEvaluateSteadyState(b *testing.B) {
 // BenchmarkEvaluateParallel reports wall-clock scaling of one estimate
 // across worker counts (episodes per second; the estimate itself is
 // invariant). The speedup tracks the physical core count — a single-core
-// snapshot machine correctly shows a flat profile.
+// machine correctly shows a flat profile.
 func BenchmarkEvaluateParallel(b *testing.B) {
 	model := DefaultEncounterModel()
 	counts := []int{1, 2, 4}
