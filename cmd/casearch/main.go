@@ -55,16 +55,18 @@ import (
 	"os"
 	"os/signal"
 	"sort"
+	"strings"
 	"syscall"
 
 	"acasxval/internal/acasx"
-	"acasxval/internal/campaign"
 	"acasxval/internal/cli"
 	"acasxval/internal/config"
 	"acasxval/internal/core"
 	"acasxval/internal/encounter"
+	"acasxval/internal/fault"
 	"acasxval/internal/ga"
 	"acasxval/internal/search"
+	"acasxval/internal/sys"
 	"acasxval/internal/viz"
 )
 
@@ -79,7 +81,7 @@ func run() error {
 	var (
 		tablePath  = flag.String("table", "", "logic table path (built on the fly when absent)")
 		coarse     = flag.Bool("coarse", false, "use the reduced-resolution table when building")
-		system     = flag.String("system", "acasx", "system under test: "+cli.SystemNames())
+		system     = flag.String("system", "acasx", "system under test: "+sys.NamesList())
 		pop        = flag.Int("pop", 200, "GA population size per island (paper: 200)")
 		gens       = flag.Int("gens", 5, "GA generations (paper: 5)")
 		sims       = flag.Int("sims", 100, "simulations per encounter (paper: 100)")
@@ -102,7 +104,7 @@ func run() error {
 		minDist     = flag.Float64("mindist", -1, "archive dedup distance in [0, 1] (-1 = spec default)")
 		epWorkers   = flag.Int("episode-workers", 0, "parallel episode workers per fitness evaluation (0 = NumCPU/islands; results are identical for any count)")
 
-		faultsFlag   = flag.String("faults", "", "fixed surveillance degradation preset for every evaluation: "+cli.FaultNames()+" (empty = clean)")
+		faultsFlag   = flag.String("faults", "", "fixed surveillance degradation preset for every evaluation: "+strings.Join(fault.PresetNames(), ", ")+" (empty = clean)")
 		evolveFaults = flag.Bool("evolve-faults", false, "co-evolve the degradation profile with the encounter geometry")
 		faultPenalty = flag.Float64("fault-penalty", 0, "severity parsimony weight subtracted from co-evolved fitness")
 	)
@@ -195,7 +197,7 @@ func run() error {
 		spec.ArchiveMinDistance = *minDist
 	}
 	if *faultsFlag != "" {
-		p, err := cli.FaultProfile(*faultsFlag)
+		p, err := fault.Resolve(*faultsFlag)
 		if err != nil {
 			return err
 		}
@@ -220,7 +222,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	sysFactory, err := cli.SystemFactory(*system, table)
+	sysFactory, err := sys.PairFactory(sys.Context{Table: table}, sys.Spec{Name: *system})
 	if err != nil {
 		return err
 	}
@@ -410,7 +412,7 @@ func fmtEvals(n int) string {
 
 // maybeTable builds/loads the table only when the system needs one.
 func maybeTable(system, path string, coarse bool) (*acasx.Table, error) {
-	if !campaign.NeedsTable(system) {
+	if !sys.NeedsTable(system) {
 		return nil, nil
 	}
 	return cli.LoadOrBuildTable(path, coarse, 0)

@@ -33,12 +33,13 @@ import (
 	"strings"
 
 	"acasxval/internal/acasx"
-	"acasxval/internal/campaign"
 	"acasxval/internal/cli"
 	"acasxval/internal/encounter"
+	"acasxval/internal/fault"
 	"acasxval/internal/search"
 	"acasxval/internal/sim"
 	"acasxval/internal/stats"
+	"acasxval/internal/sys"
 	"acasxval/internal/viz"
 )
 
@@ -58,7 +59,7 @@ func run() error {
 		genome    = flag.String("genome", "", "explicit K*9-parameter encounter, comma-separated (overrides -preset)")
 		found     = flag.String("found", "", "replay an encounter from a danger-archive JSONL (casearch -archive; overrides -preset)")
 		foundRank = flag.Int("found-rank", 1, "1-based fitness rank of the -found entry to replay")
-		system    = flag.String("system", "acasx", "system under test: "+cli.SystemNames())
+		system    = flag.String("system", "acasx", "system under test: "+sys.NamesList())
 		tablePath = flag.String("table", "", "logic table path (built on the fly when absent)")
 		coarse    = flag.Bool("coarse", false, "use the reduced-resolution table when building")
 		runs      = flag.Int("runs", 100, "number of stochastic runs for the accident-rate estimate")
@@ -66,7 +67,7 @@ func run() error {
 		svgOut    = flag.String("svg", "", "write the (first-run) trajectory as SVG")
 		csvOut    = flag.String("csv", "", "write the (first-run) trajectory as CSV")
 		planeName = flag.String("plane", "profile", "ASCII/SVG projection: plan, profile or time")
-		faults    = flag.String("faults", "", "surveillance degradation preset: "+cli.FaultNames()+" (empty = clean)")
+		faults    = flag.String("faults", "", "surveillance degradation preset: "+strings.Join(fault.PresetNames(), ", ")+" (empty = clean)")
 	)
 	flag.Parse()
 
@@ -101,7 +102,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	factory, err := cli.SystemFactory(*system, table)
+	factory, err := sys.PairFactory(sys.Context{Table: table}, sys.Spec{Name: *system})
 	if err != nil {
 		return err
 	}
@@ -117,7 +118,7 @@ func run() error {
 	// Detailed first run with trajectory recording.
 	cfg := sim.DefaultRunConfig()
 	cfg.RecordTrajectory = true
-	if cfg.Faults, err = cli.FaultProfile(*faults); err != nil {
+	if cfg.Faults, err = fault.Resolve(*faults); err != nil {
 		return err
 	}
 	if *faults != "" {
@@ -252,7 +253,7 @@ func pickPlane(name string) (viz.Plane, error) {
 }
 
 func maybeTable(system, path string, coarse bool) (*acasx.Table, error) {
-	if !campaign.NeedsTable(system) {
+	if !sys.NeedsTable(system) {
 		return nil, nil
 	}
 	return cli.LoadOrBuildTable(path, coarse, 0)

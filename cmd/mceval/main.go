@@ -34,10 +34,11 @@ import (
 	"syscall"
 
 	"acasxval/internal/acasx"
-	"acasxval/internal/campaign"
 	"acasxval/internal/cli"
+	"acasxval/internal/fault"
 	"acasxval/internal/montecarlo"
 	"acasxval/internal/search"
+	"acasxval/internal/sys"
 )
 
 func main() {
@@ -54,8 +55,8 @@ func run() error {
 		workers   = flag.Int("workers", 0, "parallel episode workers (0 = NumCPU; the estimate is identical for any count)")
 		tablePath = flag.String("table", "", "logic table path (built on the fly when absent)")
 		coarse    = flag.Bool("coarse", false, "use the reduced-resolution table when building")
-		systems   = flag.String("systems", "acasx,svo,none", "comma-separated systems to evaluate: "+cli.SystemNames())
-		faults    = flag.String("faults", "", "surveillance degradation preset applied to every episode: "+cli.FaultNames()+" (empty = clean)")
+		systems   = flag.String("systems", "acasx,svo,none", "comma-separated systems to evaluate: "+sys.NamesList())
+		faults    = flag.String("faults", "", "surveillance degradation preset applied to every episode: "+strings.Join(fault.PresetNames(), ", ")+" (empty = clean)")
 		estimator = flag.String("estimator", "", "rare-event estimator: "+strings.Join(montecarlo.Methods(), ", ")+" (empty = plain Monte Carlo)")
 		archive   = flag.String("archive-proposal", "", "danger-archive JSONL whose genomes steer the importance-sampling proposal")
 		defensive = flag.Float64("defensive", 0, "defensive mixture weight kept on the target model (0 = default)")
@@ -76,7 +77,7 @@ func run() error {
 	cfg.Samples = *samples
 	cfg.Seed = *seed
 	cfg.Parallelism = *workers
-	if cfg.Run.Faults, err = cli.FaultProfile(*faults); err != nil {
+	if cfg.Run.Faults, err = fault.Resolve(*faults); err != nil {
 		return err
 	}
 	if *faults != "" {
@@ -101,14 +102,14 @@ func run() error {
 	var interrupted error
 	for _, name := range names {
 		name = strings.TrimSpace(name)
-		if campaign.NeedsTable(name) && table == nil {
+		if sys.NeedsTable(name) && table == nil {
 			t, err := cli.LoadOrBuildTable(*tablePath, *coarse, 0)
 			if err != nil {
 				return err
 			}
 			table = t
 		}
-		factory, err := cli.SystemFactory(name, table)
+		factory, err := sys.PairFactory(sys.Context{Table: table}, sys.Spec{Name: name})
 		if err != nil {
 			return err
 		}

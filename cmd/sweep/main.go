@@ -45,6 +45,7 @@ import (
 	"acasxval/internal/fault"
 	"acasxval/internal/montecarlo"
 	"acasxval/internal/search"
+	"acasxval/internal/sys"
 )
 
 func main() {
@@ -64,7 +65,7 @@ func run() (err error) {
 		full      = flag.Bool("full", false, "build the full-resolution table instead of the coarse one")
 		extra     = flag.String("extra", "", "danger-archive JSONL whose entries join the scenario axis")
 		intruders = flag.Int("intruders", 0, "override the spec's model-draw intruder count K (0 keeps the spec value; presets and explicit scenarios carry their own K)")
-		faults    = flag.String("faults", "", "override the spec's fault axis: comma list of degradation presets ("+cli.FaultNames()+"), or \"all\"")
+		faults    = flag.String("faults", "", "override the spec's fault axis: comma list of degradation presets ("+strings.Join(fault.PresetNames(), ", ")+"), or \"all\"")
 		estimator = flag.String("estimator", "", "override the spec's rare-event estimator axis: comma list of methods ("+strings.Join(montecarlo.Methods(), ", ")+"), or \"all\"")
 		archive   = flag.String("archive-proposal", "", "danger-archive JSONL whose genomes steer the importance-sampling estimators")
 	)
@@ -144,7 +145,7 @@ func run() (err error) {
 	// Only build the logic table when a system in the spec needs it.
 	systems := campaign.DefaultSystems(nil)
 	for _, name := range spec.Systems {
-		if !campaign.NeedsTable(name) {
+		if !sys.NeedsTable(name) {
 			continue
 		}
 		table, err := cli.LoadOrBuildTable(*tablePath, !*full, 0)

@@ -556,7 +556,7 @@ func TestLogicLifecycle(t *testing.T) {
 	intrPos := geom.Vec3{X: 1200, Y: 0, Z: 1000}
 	intrVel := geom.Vec3{X: -50, Y: 0, Z: 0}
 
-	d := logic.Decide(own, intrPos, intrVel, SenseMask{})
+	d := logic.Decide(own, oneTrack(intrPos, intrVel), SenseMask{})
 	// tau = (1200 - 152.4)/100 ~ 10.5 s: well inside the coarse table's
 	// alerting region (alerts begin around tau = 16 for co-altitude
 	// threats).
@@ -585,7 +585,7 @@ func TestLogicLifecycle(t *testing.T) {
 	if logic.Advisory() != COC {
 		t.Error("reset did not clear advisory")
 	}
-	d2 := logic.Decide(own, geom.Vec3{X: 50000, Y: 0, Z: 1000}, intrVel, SenseMask{})
+	d2 := logic.Decide(own, oneTrack(geom.Vec3{X: 50000, Y: 0, Z: 1000}, intrVel), SenseMask{})
 	if d2.Alerting {
 		t.Error("distant traffic triggered alert")
 	}
@@ -594,7 +594,7 @@ func TestLogicLifecycle(t *testing.T) {
 	}
 
 	// Diverging traffic: tau unbounded, COC.
-	d3 := logic.Decide(own, geom.Vec3{X: -2000, Y: 0, Z: 1000}, geom.Vec3{X: -50}, SenseMask{})
+	d3 := logic.Decide(own, oneTrack(geom.Vec3{X: -2000, Y: 0, Z: 1000}, geom.Vec3{X: -50}), SenseMask{})
 	if d3.Tau != geom.TauUnbounded || d3.Alerting {
 		t.Error("diverging traffic should be COC with unbounded tau")
 	}
@@ -605,7 +605,7 @@ func TestLogicReversalAccounting(t *testing.T) {
 	logic := NewLogic(table)
 	own := uav.State{Vel: geom.Velocity{Gs: 50}}
 	// Force an alert with the intruder slightly above: expect descend.
-	d1 := logic.Decide(own, geom.Vec3{X: 1200, Z: 30}, geom.Vec3{X: -50}, SenseMask{})
+	d1 := logic.Decide(own, oneTrack(geom.Vec3{X: 1200, Z: 30}, geom.Vec3{X: -50}), SenseMask{})
 	if d1.Advisory.Sense() == SenseNone {
 		t.Skip("coarse table did not alert in this geometry")
 	}
@@ -617,7 +617,7 @@ func TestLogicReversalAccounting(t *testing.T) {
 	} else {
 		mask.BanUp = true
 	}
-	d2 := logic.Decide(own, geom.Vec3{X: 1100, Z: -30}, geom.Vec3{X: -50}, mask)
+	d2 := logic.Decide(own, oneTrack(geom.Vec3{X: 1100, Z: -30}, geom.Vec3{X: -50}), mask)
 	if d2.Advisory.Sense() != SenseNone && d2.Advisory.Sense() != d1.Advisory.Sense() {
 		if logic.Reversals() != 1 {
 			t.Errorf("reversal count = %d, want 1", logic.Reversals())

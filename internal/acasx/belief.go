@@ -19,13 +19,8 @@ import (
 // solve the underlying MDP offline, then weight its Q values by the state
 // belief online.
 type BeliefLogic struct {
-	table    *Table
-	sigmas   BeliefSigmas
-	advisory Advisory
-	alerts   int
-	// multiQ is the per-threat query scratch of DecideMulti (see
-	// Logic.multiQ).
-	multiQ [NumAdvisories]float64
+	executive
+	sigmas BeliefSigmas
 }
 
 // BeliefSigmas are the standard deviations of the state belief held online.
@@ -57,19 +52,14 @@ func NewBeliefLogic(table *Table, sigmas BeliefSigmas) (*BeliefLogic, error) {
 	if err := sigmas.Validate(); err != nil {
 		return nil, err
 	}
-	return &BeliefLogic{table: table, sigmas: sigmas}, nil
+	return &BeliefLogic{executive: executive{table: table}, sigmas: sigmas}, nil
 }
 
-// Advisory returns the active advisory.
-func (l *BeliefLogic) Advisory() Advisory { return l.advisory }
-
-// Alerts returns the number of COC -> advisory transitions.
-func (l *BeliefLogic) Alerts() int { return l.alerts }
-
-// Reset clears the advisory state.
-func (l *BeliefLogic) Reset() {
-	l.advisory = COC
-	l.alerts = 0
+// Decide runs one QMDP decision cycle with the same inputs as
+// Logic.Decide: each threat's belief-integrated action values fuse
+// worst-case-first exactly like the point executive's.
+func (l *BeliefLogic) Decide(own uav.State, tracks []geom.Track, mask SenseMask) Decision {
+	return l.cycle(own, tracks, mask, l.expectedAllQ)
 }
 
 // beliefNodes are the 3-point Gauss-Hermite nodes/weights used per
@@ -166,57 +156,4 @@ func (l *BeliefLogic) expectedQ(tau, h, dh0, dh1 float64, ra, a Advisory) float6
 		norm *= beliefWeights[1]
 	}
 	return total / norm
-}
-
-// Decide runs one QMDP decision cycle with the same inputs as
-// Logic.Decide.
-func (l *BeliefLogic) Decide(own uav.State, intrPos, intrVel geom.Vec3, mask SenseMask) Decision {
-	ownVel := own.VelVec()
-	h := intrPos.Z - own.Pos.Z
-	dh0 := ownVel.Z
-	dh1 := intrVel.Z
-	tau := effectiveTau(&l.table.cfg, own.Pos, ownVel, intrPos, intrVel, h, dh0, dh1)
-
-	prev := l.advisory
-	var next Advisory
-	if tau >= float64(l.table.Horizon()) {
-		if prev != COC && !clearOfConflict(own.Pos, ownVel, intrPos, intrVel, l.table.cfg.DMOD) {
-			next = prev
-		} else {
-			next = COC
-		}
-	} else {
-		// One belief integration covers the whole action set: each node
-		// queries the table once via the shared-weight scan.
-		var eq [NumAdvisories]float64
-		l.expectedAllQ(&eq, tau, h, dh0, dh1, prev)
-		best, found := bestAllowed(&eq, mask)
-		if !found {
-			best = COC
-		}
-		if best == COC && prev != COC &&
-			!clearOfConflict(own.Pos, ownVel, intrPos, intrVel, l.table.cfg.DMOD) {
-			best = prev
-		}
-		next = best
-	}
-	l.advisory = next
-
-	d := Decision{
-		Advisory: next,
-		Tau:      tau,
-		H:        h,
-		Alerting: next != COC,
-	}
-	if prev == COC && next != COC {
-		d.NewAlert = true
-		l.alerts++
-	}
-	if prev.Sense() != SenseNone && next.Sense() != SenseNone && prev.Sense() != next.Sense() {
-		d.Reversal = true
-	}
-	if next.Strengthened() && !prev.Strengthened() && prev.Sense() == next.Sense() {
-		d.Strengthening = true
-	}
-	return d
 }

@@ -40,8 +40,8 @@ func TestZeroSigmaBeliefMatchesPointLogic(t *testing.T) {
 		{geom.Vec3{X: 400, Z: 10}, geom.Vec3{X: -30, Z: 1}},
 	}
 	for i, c := range cases {
-		dp := point.Decide(own, c.pos, c.vel, SenseMask{})
-		db := belief.Decide(own, c.pos, c.vel, SenseMask{})
+		dp := point.Decide(own, oneTrack(c.pos, c.vel), SenseMask{})
+		db := belief.Decide(own, oneTrack(c.pos, c.vel), SenseMask{})
 		if dp.Advisory != db.Advisory {
 			t.Errorf("case %d: point %v vs zero-sigma belief %v", i, dp.Advisory, db.Advisory)
 		}
@@ -57,7 +57,7 @@ func TestBeliefRespectsGeometry(t *testing.T) {
 		t.Fatal(err)
 	}
 	own := uav.State{Vel: geom.Velocity{Gs: 50}}
-	d := belief.Decide(own, geom.Vec3{X: 1000, Z: 90}, geom.Vec3{X: -50}, SenseMask{})
+	d := belief.Decide(own, oneTrack(geom.Vec3{X: 1000, Z: 90}, geom.Vec3{X: -50}), SenseMask{})
 	if d.Advisory.Sense() == SenseUp {
 		t.Errorf("belief logic climbs toward an intruder 90 m above (%v)", d.Advisory)
 	}
@@ -70,8 +70,7 @@ func TestBeliefRespectsMask(t *testing.T) {
 		t.Fatal(err)
 	}
 	own := uav.State{Vel: geom.Velocity{Gs: 50}}
-	d := belief.Decide(own, geom.Vec3{X: 1000, Z: 0}, geom.Vec3{X: -50},
-		SenseMask{BanUp: true, BanDown: true})
+	d := belief.Decide(own, oneTrack(geom.Vec3{X: 1000, Z: 0}, geom.Vec3{X: -50}), SenseMask{BanUp: true, BanDown: true})
 	if d.Advisory != COC {
 		t.Errorf("fully-masked belief decision = %v", d.Advisory)
 	}
@@ -84,7 +83,7 @@ func TestBeliefLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	own := uav.State{Vel: geom.Velocity{Gs: 50}}
-	d := belief.Decide(own, geom.Vec3{X: 1100, Z: 0}, geom.Vec3{X: -50}, SenseMask{})
+	d := belief.Decide(own, oneTrack(geom.Vec3{X: 1100, Z: 0}, geom.Vec3{X: -50}), SenseMask{})
 	if !d.Alerting || !d.NewAlert {
 		t.Fatalf("imminent threat not alerted: %+v", d)
 	}
@@ -92,7 +91,7 @@ func TestBeliefLifecycle(t *testing.T) {
 		t.Errorf("alerts = %d", belief.Alerts())
 	}
 	// Advisory is held while still converging even if the gap opens.
-	d2 := belief.Decide(own, geom.Vec3{X: 600, Z: 200}, geom.Vec3{X: -50}, SenseMask{})
+	d2 := belief.Decide(own, oneTrack(geom.Vec3{X: 600, Z: 200}, geom.Vec3{X: -50}), SenseMask{})
 	if !d2.Alerting {
 		t.Error("advisory dropped while converging")
 	}
@@ -101,7 +100,7 @@ func TestBeliefLifecycle(t *testing.T) {
 		t.Error("reset incomplete")
 	}
 	// Diverging traffic: clear.
-	d3 := belief.Decide(own, geom.Vec3{X: -2000, Z: 0}, geom.Vec3{X: -60}, SenseMask{})
+	d3 := belief.Decide(own, oneTrack(geom.Vec3{X: -2000, Z: 0}, geom.Vec3{X: -60}), SenseMask{})
 	if d3.Alerting {
 		t.Error("diverging traffic alerted")
 	}

@@ -27,114 +27,176 @@ type Decision struct {
 	Strengthening bool
 }
 
-// Logic is the online collision avoidance executive for one aircraft: it
-// tracks the active advisory, derives the MDP state (tau, h, vertical
-// rates) from surveillance, and queries the logic table.
-//
-// Logic is not safe for concurrent use; each aircraft owns one instance.
-type Logic struct {
+// executive is the decision cycle the point and belief executives share,
+// and the advisory state it carries between cycles. Its exported methods
+// are promoted to Logic and BeliefLogic.
+type executive struct {
 	table    *Table
 	advisory Advisory
-	// decisions counts Decide calls; diagnostics only.
-	decisions int
 	// alerts counts COC -> advisory transitions.
 	alerts int
 	// reversals counts sense reversals.
 	reversals int
-	// multiQ is the per-threat query scratch of DecideMulti: the buffer
-	// crosses the indirect query call of multiCycle, so a stack array
-	// would escape and allocate every decision cycle.
-	multiQ [NumAdvisories]float64
-}
-
-// NewLogic creates an executive around a built or loaded table.
-func NewLogic(table *Table) *Logic {
-	return &Logic{table: table}
+	// q is the per-threat query scratch of cycle: the buffer crosses the
+	// indirect query call, so a stack array would escape and allocate
+	// every decision cycle.
+	q [NumAdvisories]float64
 }
 
 // Advisory returns the currently active advisory.
-func (l *Logic) Advisory() Advisory { return l.advisory }
+func (e *executive) Advisory() Advisory { return e.advisory }
 
 // Alerts returns the number of COC -> advisory transitions so far.
-func (l *Logic) Alerts() int { return l.alerts }
+func (e *executive) Alerts() int { return e.alerts }
 
 // Reversals returns the number of sense reversals so far.
-func (l *Logic) Reversals() int { return l.reversals }
+func (e *executive) Reversals() int { return e.reversals }
 
 // Reset clears the advisory state (new encounter).
-func (l *Logic) Reset() {
-	l.advisory = COC
-	l.decisions = 0
-	l.alerts = 0
-	l.reversals = 0
+func (e *executive) Reset() {
+	e.advisory = COC
+	e.alerts = 0
+	e.reversals = 0
 }
 
-// Decide runs one decision cycle. own is the aircraft's own state (assumed
-// perfectly known); intrPos/intrVel is the intruder track from surveillance
-// (possibly noisy/filtered); mask carries coordination constraints.
-func (l *Logic) Decide(own uav.State, intrPos, intrVel geom.Vec3, mask SenseMask) Decision {
-	l.decisions++
+// queryFunc fills q with the action values of one threat at (tau, h, own
+// and intruder vertical rates) under the active advisory ra. It must not
+// retain q.
+type queryFunc func(q *[NumAdvisories]float64, tau, h, dh0, dh1 float64, ra Advisory)
+
+// cycle runs one decision cycle against every tracked intruder (tracks
+// holds at least one; K = 1 is the pairwise encounter). Each threat inside
+// the optimization horizon is queried independently — the table itself
+// stays pairwise, it was optimized for one intruder — and the per-threat
+// action values fuse worst-case-first: an advisory's fused value is its
+// minimum across the threats, and the executive picks the advisory whose
+// worst case is best. The most restrictive constraint therefore dominates
+// — an advisory that resolves two threats but flies into a third is vetoed
+// by the third's value — which is the "most-restrictive-first" fusion rule
+// of layered multi-threat logics. The reported Tau and H are those of the
+// most urgent threat (smallest effective tau, first index on ties).
+func (e *executive) cycle(own uav.State, tracks []geom.Track, mask SenseMask, query queryFunc) Decision {
 	ownVel := own.VelVec()
-	h := intrPos.Z - own.Pos.Z
-	dh0 := ownVel.Z
-	dh1 := intrVel.Z
-	tau := effectiveTau(&l.table.cfg, own.Pos, ownVel, intrPos, intrVel, h, dh0, dh1)
-
-	prev := l.advisory
-	if tau >= float64(l.table.Horizon()) {
-		// No horizontal conflict inside the optimization horizon. A fresh
-		// threat stays clear of conflict; an active advisory is maintained
-		// until the traffic is genuinely clear — with noisy surveillance
-		// the tau estimate can transiently exceed the horizon mid-conflict,
-		// and dropping the advisory would hand the aircraft back to its
-		// (conflicting) flight plan.
-		next := COC
-		if prev != COC && !clearOfConflict(own.Pos, ownVel, intrPos, intrVel, l.table.cfg.DMOD) {
-			next = prev
+	prev := e.advisory
+	var fused [NumAdvisories]float64
+	threats := 0
+	minTau, minH := math.Inf(1), 0.0
+	horizon := float64(e.table.Horizon())
+	for _, tr := range tracks {
+		h := tr.Pos.Z - own.Pos.Z
+		tau := effectiveTau(&e.table.cfg, own.Pos, ownVel, tr.Pos, tr.Vel, h, ownVel.Z, tr.Vel.Z)
+		if tau < minTau {
+			minTau, minH = tau, h
 		}
-		return l.commit(prev, next, tau, h)
+		if tau >= horizon {
+			continue
+		}
+		query(&e.q, tau, h, ownVel.Z, tr.Vel.Z, prev)
+		if threats == 0 {
+			fused = e.q
+		} else {
+			for a := range fused {
+				if e.q[a] < fused[a] {
+					fused[a] = e.q[a]
+				}
+			}
+		}
+		threats++
 	}
-	// The shared-weight scan keeps the per-decision table query
-	// allocation-free: one weight computation covers every advisory.
-	best, ok := l.table.BestAdvisory(tau, h, dh0, dh1, prev, mask)
-	if !ok {
-		best = COC
-	}
-	if best == COC && prev != COC &&
-		!clearOfConflict(own.Pos, ownVel, intrPos, intrVel, l.table.cfg.DMOD) {
-		// The table proposes terminating the advisory because the
-		// projected miss distance is adequate — but its clear-of-
-		// conflict model assumes the aircraft drift, whereas real
-		// aircraft resume their (conflicting) flight plans and
-		// re-converge. Hold the advisory until the threat is
-		// horizontally diverging, as fielded ACAS logic does.
-		best = prev
-	}
-	return l.commit(prev, best, tau, h)
-}
 
-// commit installs the next advisory and assembles the Decision with its
-// transition bookkeeping (alert/reversal/strengthening counters).
-func (l *Logic) commit(prev, next Advisory, tau, h float64) Decision {
-	l.advisory = next
+	next := COC
+	if threats > 0 {
+		if best, ok := bestAllowed(&fused, mask); ok {
+			next = best
+		}
+	}
+	if next == COC && prev != COC && !clearOfAll(own.Pos, ownVel, tracks, e.table.cfg.DMOD) {
+		// Either no threat is inside the horizon — with noisy surveillance
+		// the tau estimate can transiently exceed it mid-conflict — or the
+		// table proposes terminating the advisory because the projected
+		// miss distance is adequate. Its clear-of-conflict model assumes
+		// the aircraft drift, whereas real aircraft resume their
+		// (conflicting) flight plans and re-converge, so hold the advisory
+		// until every intruder is horizontally diverging, as fielded ACAS
+		// logic does.
+		next = prev
+	}
+
+	e.advisory = next
 	d := Decision{
 		Advisory: next,
-		Tau:      tau,
-		H:        h,
+		Tau:      minTau,
+		H:        minH,
 		Alerting: next != COC,
 	}
 	if prev == COC && next != COC {
 		d.NewAlert = true
-		l.alerts++
+		e.alerts++
 	}
 	if prev.Sense() != SenseNone && next.Sense() != SenseNone && prev.Sense() != next.Sense() {
 		d.Reversal = true
-		l.reversals++
+		e.reversals++
 	}
 	if next.Strengthened() && !prev.Strengthened() && prev.Sense() == next.Sense() {
 		d.Strengthening = true
 	}
 	return d
+}
+
+// bestAllowed returns the advisory maximizing q among those the mask
+// allows, scanning in advisory order (first maximum wins). The boolean is
+// false when the mask bans every action.
+func bestAllowed(q *[NumAdvisories]float64, mask SenseMask) (Advisory, bool) {
+	best := COC
+	bestQ := math.Inf(-1)
+	found := false
+	for a := COC; a < NumAdvisories; a++ {
+		if !mask.Allows(a) {
+			continue
+		}
+		if q[a] > bestQ {
+			bestQ = q[a]
+			best = a
+			found = true
+		}
+	}
+	return best, found
+}
+
+// clearOfAll reports whether every tracked intruder is horizontally
+// diverging (positive range rate) and outside the conflict radius — the
+// condition for discontinuing an active advisory.
+func clearOfAll(ownPos, ownVel geom.Vec3, tracks []geom.Track, dmod float64) bool {
+	for _, tr := range tracks {
+		dp := tr.Pos.Sub(ownPos).Horizontal()
+		if dp.Norm() <= dmod || !(dp.Dot(tr.Vel.Sub(ownVel).Horizontal()) > 0) {
+			return false
+		}
+	}
+	return true
+}
+
+// Logic is the online collision avoidance executive for one aircraft: it
+// tracks the active advisory, derives the MDP state (tau, h, vertical
+// rates) of every tracked intruder from surveillance, and queries the
+// logic table at the point estimate.
+//
+// Logic is not safe for concurrent use; each aircraft owns one instance.
+type Logic struct {
+	executive
+}
+
+// NewLogic creates an executive around a built or loaded table.
+func NewLogic(table *Table) *Logic {
+	return &Logic{executive{table: table}}
+}
+
+// Decide runs one decision cycle. own is the aircraft's own state (assumed
+// perfectly known); tracks are the intruder tracks from surveillance
+// (possibly noisy/filtered, at least one); mask carries coordination
+// constraints. Several tracks fuse worst-case-first (see executive.cycle).
+func (l *Logic) Decide(own uav.State, tracks []geom.Track, mask SenseMask) Decision {
+	return l.cycle(own, tracks, mask, l.table.AllQValues)
 }
 
 // Command converts the active advisory into a UAV vertical-rate command.
@@ -183,20 +245,6 @@ func effectiveTau(cfg *Config, ownPos, ownVel, intrPos, intrVel geom.Vec3, h, dh
 		rate = -rate
 	}
 	return (abs - band) / rate
-}
-
-// clearOfConflict reports whether the intruder is horizontally diverging
-// and outside the conflict radius — the condition for discontinuing an
-// active advisory when the tau estimate has left the table's horizon.
-func clearOfConflict(ownPos, ownVel, intrPos, intrVel geom.Vec3, dmod float64) bool {
-	dp := intrPos.Sub(ownPos).Horizontal()
-	r := dp.Norm()
-	if r <= dmod {
-		return false
-	}
-	dv := intrVel.Sub(ownVel).Horizontal()
-	// Diverging when the range rate is positive (dp . dv > 0).
-	return dp.Dot(dv) > 0
 }
 
 // CoordinationMask returns the sense restriction an aircraft broadcasting

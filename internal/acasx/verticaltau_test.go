@@ -99,13 +99,13 @@ func TestVerticalTauRevisionAlertsOnTailGeometry(t *testing.T) {
 	intrVel := geom.Vec3{X: 44, Z: 2.5}
 
 	origLogic := NewLogic(original)
-	dOrig := origLogic.Decide(own, intrPos, intrVel, SenseMask{})
+	dOrig := origLogic.Decide(own, oneTrack(intrPos, intrVel), SenseMask{})
 	if dOrig.Alerting {
 		t.Fatalf("default system alerted in slow-closure geometry (tau=%v) — blind spot missing", dOrig.Tau)
 	}
 
 	revLogic := NewLogic(revised)
-	d := revLogic.Decide(own, intrPos, intrVel, SenseMask{})
+	d := revLogic.Decide(own, oneTrack(intrPos, intrVel), SenseMask{})
 	if !d.Alerting {
 		t.Fatalf("revised system did not alert (tau=%v, h=%v)", d.Tau, d.H)
 	}

@@ -219,6 +219,26 @@ campaign.variant.1.tracker = false
 	}
 }
 
+// TestFromConfigVariantKeyValidation: campaign.variant.* keys go through
+// the same indexed-key check as the fault axis — a typoed field, a
+// numbering gap or a malformed index is a hard parse error.
+func TestFromConfigVariantKeyValidation(t *testing.T) {
+	for text, want := range map[string]string{
+		"campaign.variant.0.name = a\ncampaign.variant.0.sampels = 3\n": "unknown variant field",
+		"campaign.variant.0.name = a\ncampaign.variant.2.name = b\n":    "orphaned variant key",
+		"campaign.variant.0.samples = 3\n":                              "orphaned variant key",
+		"campaign.variant.x.name = a\n":                                 "malformed variant key",
+	} {
+		params, err := config.Parse("campaign.presets = headon\ncampaign.systems = none\n" + text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := FromConfig(params); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%q: error %v, want one mentioning %q", text, err, want)
+		}
+	}
+}
+
 func TestFromConfigPresetsAll(t *testing.T) {
 	params, err := config.Parse("campaign.presets = all\ncampaign.systems = none\n")
 	if err != nil {

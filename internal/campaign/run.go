@@ -37,12 +37,6 @@ const estimatorScenario = "model"
 // SystemSet maps system names to factories producing fresh system pairs.
 type SystemSet map[string]montecarlo.SystemFactory
 
-// NeedsTable reports whether the named system requires a logic table (per
-// the sys registry).
-func NeedsTable(name string) bool {
-	return sys.NeedsTable(name)
-}
-
 // DefaultSystems returns every registered backend under its default
 // configuration: table-requiring backends ("acasx", "belief") only when a
 // logic table is supplied. Backends whose defaults fail to construct are

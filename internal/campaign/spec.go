@@ -25,6 +25,7 @@ package campaign
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -542,7 +543,7 @@ func FromConfig(c *config.Params) (Spec, error) {
 		}
 		s.Variants = append(s.Variants, v)
 	}
-	if err := validateVariantKeys(c, len(s.Variants)); err != nil {
+	if err := validateIndexedKeys(c, "campaign.variant.", "variant", variantFields, len(s.Variants)); err != nil {
 		return s, err
 	}
 	names := c.StringsOr("campaign.faults", nil)
@@ -569,7 +570,8 @@ func FromConfig(c *config.Params) (Spec, error) {
 		s.Faults = append(s.Faults, FaultPoint{Name: c.StringOr(prefix+"name", ""), Profile: p})
 		parsedFaults++
 	}
-	if err := validateFaultKeys(c, parsedFaults); err != nil {
+	faultFields := append([]string{"name", fault.KeyPreset}, fault.FieldNames()...)
+	if err := validateIndexedKeys(c, "campaign.faults.", "fault", faultFields, parsedFaults); err != nil {
 		return s, err
 	}
 	s.Estimators = c.StringsOr("campaign.estimator.methods", nil)
@@ -654,51 +656,19 @@ func validateEstimatorKeys(c *config.Params, haveAxis bool) error {
 	return nil
 }
 
-// validateVariantKeys rejects campaign.variant.* keys the parse loop did
-// not consume: a gap or missing .name in the numbering, or a typoed
-// override suffix, would otherwise silently run the wrong configuration.
-func validateVariantKeys(c *config.Params, parsed int) error {
-	const pfx = "campaign.variant."
-	for _, key := range c.Keys() {
-		if !strings.HasPrefix(key, pfx) {
-			continue
-		}
-		rest := key[len(pfx):]
-		dot := strings.IndexByte(rest, '.')
-		var n int
-		var err error
-		if dot < 0 {
-			err = fmt.Errorf("no field")
-		} else {
-			n, err = strconv.Atoi(rest[:dot])
-		}
-		if err != nil || n < 0 || strconv.Itoa(n) != rest[:dot] {
-			return fmt.Errorf("campaign: malformed variant key %q (want campaign.variant.N.field)", key)
-		}
-		if n >= parsed {
-			return fmt.Errorf("campaign: orphaned variant key %q (variants are numbered contiguously from 0, each with a name)", key)
-		}
-		switch rest[dot+1:] {
-		case "name", "samples", "coordination", "tracker", "decision.period", "overtime":
-		default:
-			return fmt.Errorf("campaign: unknown variant field in %q", key)
-		}
-	}
-	return nil
-}
+// variantFields are the per-variant keys FromConfig consumes.
+var variantFields = []string{"name", "samples", "coordination", "tracker", "decision.period", "overtime"}
 
-// validateFaultKeys rejects campaign.faults.* keys the parse loop did not
-// consume, in the same menu style as validateVariantKeys: a numbering gap,
-// a point without a name, or a typoed profile field would otherwise
-// silently sweep the wrong degradation.
-func validateFaultKeys(c *config.Params, parsed int) error {
-	const pfx = "campaign.faults."
-	fields := append([]string{"name", fault.KeyPreset}, fault.FieldNames()...)
+// validateIndexedKeys rejects prefix+"N.field" keys the parse loop did not
+// consume: a gap or missing .name in the numbering, or a typoed field,
+// would otherwise silently sweep the wrong configuration. parsed is the
+// number of entries the loop read; noun names one entry in the errors.
+func validateIndexedKeys(c *config.Params, prefix, noun string, fields []string, parsed int) error {
 	for _, key := range c.Keys() {
-		if !strings.HasPrefix(key, pfx) {
+		if !strings.HasPrefix(key, prefix) {
 			continue
 		}
-		rest := key[len(pfx):]
+		rest := key[len(prefix):]
 		dot := strings.IndexByte(rest, '.')
 		var n int
 		var err error
@@ -708,21 +678,13 @@ func validateFaultKeys(c *config.Params, parsed int) error {
 			n, err = strconv.Atoi(rest[:dot])
 		}
 		if err != nil || n < 0 || strconv.Itoa(n) != rest[:dot] {
-			return fmt.Errorf("campaign: malformed fault key %q (want campaign.faults.N.field)", key)
+			return fmt.Errorf("campaign: malformed %s key %q (want %sN.field)", noun, key, prefix)
 		}
 		if n >= parsed {
-			return fmt.Errorf("campaign: orphaned fault key %q (fault points are numbered contiguously from 0, each with a name)", key)
+			return fmt.Errorf("campaign: orphaned %s key %q (%ss are numbered contiguously from 0, each with a name)", noun, key, noun)
 		}
-		field := rest[dot+1:]
-		ok := false
-		for _, f := range fields {
-			if field == f {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return fmt.Errorf("campaign: unknown fault field in %q (want one of %s)", key, strings.Join(fields, ", "))
+		if !slices.Contains(fields, rest[dot+1:]) {
+			return fmt.Errorf("campaign: unknown %s field in %q (want one of %s)", noun, key, strings.Join(fields, ", "))
 		}
 	}
 	return nil

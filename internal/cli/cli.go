@@ -1,18 +1,13 @@
-// Package cli holds the small helpers shared by the command-line tools in
-// cmd/: logic-table acquisition (load from disk or build on the fly) and
-// system-factory construction by name.
+// Package cli holds the helper the command-line tools in cmd/ share:
+// logic-table acquisition (load from disk or build on the fly).
 package cli
 
 import (
 	"fmt"
 	"os"
 	"runtime"
-	"strings"
 
 	"acasxval/internal/acasx"
-	"acasxval/internal/fault"
-	"acasxval/internal/sim"
-	"acasxval/internal/sys"
 )
 
 // LoadOrBuildTable loads the logic table from path when it exists;
@@ -47,25 +42,3 @@ func LoadOrBuildTable(path string, coarse bool, workers int) (*acasx.Table, erro
 	}
 	return table, nil
 }
-
-// SystemFactory builds the named system pair through the sys registry
-// (SystemNames lists the valid names). The table is required for the
-// table-driven executives. Unknown-name errors quote the registry's live
-// name list, so the CLIs and the sweep engine cannot drift apart.
-func SystemFactory(name string, table *acasx.Table) (func() (sim.System, sim.System), error) {
-	return sys.PairFactory(sys.Context{Table: table}, sys.Spec{Name: name})
-}
-
-// SystemNames renders the registered system names as a comma-separated
-// list, for -system flag help text.
-func SystemNames() string { return sys.NamesList() }
-
-// FaultProfile resolves a -faults flag value through the fault preset
-// menu; the empty string is the clean (zero) profile. Unknown-name errors
-// quote the live preset list, so the CLIs and the fault package cannot
-// drift apart.
-func FaultProfile(name string) (fault.Profile, error) { return fault.Resolve(name) }
-
-// FaultNames renders the fault preset names as a comma-separated list,
-// for -faults flag help text.
-func FaultNames() string { return strings.Join(fault.PresetNames(), ", ") }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"acasxval/internal/acasx"
+	"acasxval/internal/sys"
 )
 
 // truncateFile cuts a file to half its size, corrupting it.
@@ -50,6 +51,9 @@ func TestLoadOrBuildTableEmptyPath(t *testing.T) {
 	}
 }
 
+// TestSystemFactoryNames: a table from LoadOrBuildTable plugs into
+// sys.PairFactory the way the command-line tools resolve -system, and every
+// backend they name yields non-nil (ownship, intruder) pairs.
 func TestSystemFactoryNames(t *testing.T) {
 	table, err := LoadOrBuildTable("", true, 2)
 	if err != nil {
@@ -60,7 +64,7 @@ func TestSystemFactoryNames(t *testing.T) {
 		if name != "acasx" {
 			tbl = nil
 		}
-		factory, err := SystemFactory(name, tbl)
+		factory, err := sys.PairFactory(sys.Context{Table: tbl}, sys.Spec{Name: name})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -71,11 +75,13 @@ func TestSystemFactoryNames(t *testing.T) {
 	}
 }
 
+// TestSystemFactoryErrors: the tools' -system resolution rejects acasx
+// without a table and an unknown name.
 func TestSystemFactoryErrors(t *testing.T) {
-	if _, err := SystemFactory("acasx", nil); err == nil {
+	if _, err := sys.PairFactory(sys.Context{}, sys.Spec{Name: "acasx"}); err == nil {
 		t.Error("acasx without table accepted")
 	}
-	if _, err := SystemFactory("bogus", nil); err == nil {
+	if _, err := sys.PairFactory(sys.Context{}, sys.Spec{Name: "bogus"}); err == nil {
 		t.Error("unknown system accepted")
 	}
 }

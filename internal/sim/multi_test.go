@@ -100,8 +100,8 @@ func TestRunMultiZeroAlloc(t *testing.T) {
 }
 
 // TestRunMultiEquippedZeroAlloc is TestRunMultiZeroAlloc with an equipped
-// ownship, so the steady state covers the multi-threat fusion cycle
-// (Logic.DecideMulti and its per-threat query closure) too.
+// ownship, so the steady state covers the executive's multi-threat fusion
+// cycle (acasx.Logic.Decide and its per-threat table query) too.
 func TestRunMultiEquippedZeroAlloc(t *testing.T) {
 	table := getTable(t)
 	cfg := DefaultRunConfig()

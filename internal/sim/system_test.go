@@ -66,9 +66,9 @@ func TestNoSystemDecideTracks(t *testing.T) {
 	}
 }
 
-// TestACASXUDecideTracksMatchesDispatch: both table executives' DecideTracks
-// must be exactly the acasx executive's multi-track cycle, which resolves
-// one track through the pairwise Decide and fuses several.
+// TestACASXUDecideTracksMatchesDispatch: the adapter's DecideTracks must be
+// exactly the wrapped executive's decision cycle, for the point and the
+// belief executive, at one track and at several.
 func TestACASXUDecideTracksMatchesDispatch(t *testing.T) {
 	table := getTable(t)
 	own := uav.State{Pos: geom.Vec3{Z: 300}, Vel: geom.Velocity{Gs: 30}}
@@ -78,34 +78,24 @@ func TestACASXUDecideTracksMatchesDispatch(t *testing.T) {
 	}
 	mask := acasx.SenseMask{BanDown: true}
 	c := Constraint{BanDown: true}
+	sigmas := acasx.DefaultBeliefSigmas()
 	for _, n := range []int{1, 2} {
-		logic := acasx.NewLogic(table)
-		var want acasx.Decision
-		if n == 1 {
-			want = logic.Decide(own, tracks[0].Pos, tracks[0].Vel, mask)
-		} else {
-			want = logic.DecideMulti(own, tracks[:n], mask)
-		}
+		want := acasx.NewLogic(table).Decide(own, tracks[:n], mask)
 		if got := NewACASXU(table).DecideTracks(0, own, tracks[:n], c); !reflect.DeepEqual(got, fromACASDecision(want)) {
-			t.Errorf("ACASXU n=%d: DecideTracks %+v, want %+v", n, got, fromACASDecision(want))
+			t.Errorf("point n=%d: DecideTracks %+v, want %+v", n, got, fromACASDecision(want))
 		}
 
-		sigmas := acasx.DefaultBeliefSigmas()
 		belief, err := acasx.NewBeliefLogic(table, sigmas)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n == 1 {
-			want = belief.Decide(own, tracks[0].Pos, tracks[0].Vel, mask)
-		} else {
-			want = belief.DecideMulti(own, tracks[:n], mask)
-		}
+		want = belief.Decide(own, tracks[:n], mask)
 		sys, err := NewACASXUBelief(table, sigmas)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := sys.DecideTracks(0, own, tracks[:n], c); !reflect.DeepEqual(got, fromACASDecision(want)) {
-			t.Errorf("ACASXUBelief n=%d: DecideTracks %+v, want %+v", n, got, fromACASDecision(want))
+			t.Errorf("belief n=%d: DecideTracks %+v, want %+v", n, got, fromACASDecision(want))
 		}
 	}
 }

@@ -62,6 +62,7 @@ func (c Config) Validate() error {
 type System struct {
 	cfg      Config
 	alerting bool
+	pair     [1]geom.Track // scratch for the one-track Decide
 }
 
 var _ sim.System = (*System)(nil)
@@ -140,9 +141,17 @@ func (s *System) Analyze(own uav.State, intrPos, intrVel geom.Vec3) Conflict {
 	return c
 }
 
-// Decide implements sim.System.
-func (s *System) Decide(_ float64, own uav.State, intrPos, intrVel geom.Vec3, _ sim.Constraint) sim.Decision {
-	c := s.Analyze(own, intrPos, intrVel)
+// DecideTracks implements sim.AvoidanceSystem: the velocity-obstacle
+// resolution against the nearest track in 3-D, the most immediately
+// pressing conflict (first index on ties, so the choice is deterministic).
+func (s *System) DecideTracks(_ float64, own uav.State, tracks []geom.Track, _ sim.Constraint) sim.Decision {
+	n, nd := 0, tracks[0].Pos.DistanceSquaredTo(own.Pos)
+	for i := 1; i < len(tracks); i++ {
+		if d := tracks[i].Pos.DistanceSquaredTo(own.Pos); d < nd {
+			n, nd = i, d
+		}
+	}
+	c := s.Analyze(own, tracks[n].Pos, tracks[n].Vel)
 	if !c.Inside {
 		s.alerting = false
 		return sim.Decision{}
@@ -162,15 +171,8 @@ func (s *System) Decide(_ float64, own uav.State, intrPos, intrVel geom.Vec3, _ 
 	}
 }
 
-// DecideTracks implements sim.AvoidanceSystem: the velocity-obstacle
-// resolution against the nearest track in 3-D, the most immediately
-// pressing conflict (first index on ties, so the choice is deterministic).
-func (s *System) DecideTracks(now float64, own uav.State, tracks []geom.Track, c sim.Constraint) sim.Decision {
-	n, nd := 0, tracks[0].Pos.DistanceSquaredTo(own.Pos)
-	for i := 1; i < len(tracks); i++ {
-		if d := tracks[i].Pos.DistanceSquaredTo(own.Pos); d < nd {
-			n, nd = i, d
-		}
-	}
-	return s.Decide(now, own, tracks[n].Pos, tracks[n].Vel, c)
+// Decide implements sim.System: the one-track case of DecideTracks.
+func (s *System) Decide(now float64, own uav.State, intrPos, intrVel geom.Vec3, c sim.Constraint) sim.Decision {
+	s.pair[0] = geom.Track{Pos: intrPos, Vel: intrVel}
+	return s.DecideTracks(now, own, s.pair[:], c)
 }

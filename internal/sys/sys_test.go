@@ -73,26 +73,37 @@ func TestRoundTrip(t *testing.T) {
 }
 
 // TestNeedsTableEnforced: table-requiring backends refuse a bare context,
-// table-free backends construct without one.
+// table-free backends construct without one — through New and through
+// PairFactory, whose pairs are non-nil.
 func TestNeedsTableEnforced(t *testing.T) {
 	for _, name := range Names() {
 		_, err := New(Context{}, Spec{Name: name})
+		factory, pairErr := PairFactory(Context{}, Spec{Name: name})
 		if NeedsTable(name) {
-			if err == nil {
-				t.Errorf("%s: constructed without the required table", name)
+			if err == nil || pairErr == nil {
+				t.Errorf("%s: constructed without the required table (New %v, PairFactory %v)", name, err, pairErr)
 			}
-		} else if err != nil {
-			t.Errorf("%s: %v", name, err)
+			continue
+		}
+		if err != nil || pairErr != nil {
+			t.Errorf("%s: New %v, PairFactory %v", name, err, pairErr)
+			continue
+		}
+		if own, intr := factory(); own == nil || intr == nil {
+			t.Errorf("%s: factory returned nil system", name)
 		}
 	}
 }
 
 // TestUnknownNameErrorListsBackends: the error for a bad name carries the
-// full registered menu.
+// full registered menu, from New and from PairFactory.
 func TestUnknownNameErrorListsBackends(t *testing.T) {
 	_, err := New(Context{}, Spec{Name: "no-such-system"})
 	if err == nil {
 		t.Fatal("unknown name constructed")
+	}
+	if _, pairErr := PairFactory(Context{}, Spec{Name: "no-such-system"}); pairErr == nil || pairErr.Error() != err.Error() {
+		t.Errorf("PairFactory error %v, want New's %v", pairErr, err)
 	}
 	for _, name := range Names() {
 		if !strings.Contains(err.Error(), name) {
